@@ -58,7 +58,7 @@ int main() {
   opts.threads = 1;
 
   Runtime rt(opts);
-  rt.trace().enable();
+  rt.telemetry().tracer().enable();
 
   std::atomic<bool> drained{false};
   std::atomic<bool> all_done{false};
@@ -136,7 +136,14 @@ int main() {
         all_done.store(true, std::memory_order_release);
       }});
 
-  const auto forwards = rt.trace().count(simnet::TraceKind::Forward, "mpl");
+  const telemetry::Tracer& tracer = rt.telemetry().tracer();
+  std::size_t forwards = 0;
+  for (const auto& ev : tracer.events()) {
+    if (ev.phase == telemetry::Phase::Forward &&
+        tracer.label_name(ev.label) == "mpl") {
+      ++forwards;
+    }
+  }
   std::printf("gateway incarnation %u, %llu mpl forward hops recorded\n",
               gateway_incarnation,
               static_cast<unsigned long long>(forwards));

@@ -378,8 +378,8 @@ void Context::ensure_connection(const Startpoint& sp, Startpoint::Link& link,
                    link.conn->module().trace_label(), *idx, link.context});
         }
         if (!reason.empty()) {
-          selection_log_.push_back(SelectionRecord{link.context, d.method,
-                                                   std::move(reason), now()});
+          log_selection(SelectionRecord{link.context, d.method,
+                                        std::move(reason), now()});
         }
         return;
       }
@@ -432,8 +432,8 @@ void Context::ensure_connection(const Startpoint& sp, Startpoint::Link& link,
     observe({now(), 0, id_, telemetry::Phase::Select,
              link.conn->module().trace_label(), *idx, link.context});
   }
-  selection_log_.push_back(SelectionRecord{link.context, d.method,
-                                           std::move(reason), now()});
+  log_selection(SelectionRecord{link.context, d.method, std::move(reason),
+                                now()});
 }
 
 SendResult Context::send_on_link(Startpoint::Link& link, HandlerId h,
@@ -477,10 +477,6 @@ SendResult Context::send_on_link(Startpoint::Link& link, HandlerId h,
   if (observing()) {
     observe({now(), span, id_, telemetry::Phase::Send, m.trace_label(),
              r.wire, link.context, 0, trace});
-  }
-  if (runtime_->trace().enabled()) {
-    runtime_->trace().record({now(), id_, simnet::TraceKind::Send,
-                              std::string(m.name()), r.wire, ""});
   }
   return r;
 }
@@ -669,7 +665,7 @@ DeliveryStatus Context::send_with_failover(Startpoint& sp,
     if (action == HealthTracker::FailAction::Retry) continue;
     // Failover: drop the dead connection and let selection pick the next
     // applicable method (the health gate now excludes the quarantined one).
-    selection_log_.push_back(SelectionRecord{
+    log_selection(SelectionRecord{
         link.context, link.selected_method,
         "failover: method declared dead after " +
             std::to_string(health_.status(mid, link.context, now()).failures) +
@@ -983,10 +979,6 @@ void Context::deliver(Packet pkt, CommModule* via) {
     observe({now(), pkt.span, id_, telemetry::Phase::Dispatch,
              entry.trace_label, pkt.payload.size(), pkt.src, 0, pkt.trace});
   }
-  if (runtime_->trace().enabled()) {
-    runtime_->trace().record({now(), id_, simnet::TraceKind::Dispatch,
-                              entry.name, pkt.payload.size(), ""});
-  }
   const telemetry::SpanId span = pkt.span;
   const std::uint64_t trace = pkt.trace;
   const std::uint16_t handler_label = entry.trace_label;
@@ -1114,10 +1106,6 @@ void Context::forward(Packet pkt) {
       if (observing()) {
         observe({now(), span, id_, telemetry::Phase::Forward, m.trace_label(),
                  r.wire, dst, parent, trace});
-      }
-      if (runtime_->trace().enabled()) {
-        runtime_->trace().record({now(), id_, simnet::TraceKind::Forward,
-                                  std::string(m.name()), r.wire, ""});
       }
       return;
     }
@@ -1282,7 +1270,7 @@ bool Context::rerank_link(Startpoint::Link& link) {
     observe({now(), 0, id_, telemetry::Phase::AdaptRerank, 0,
              link.table.size(), link.context});
   }
-  selection_log_.push_back(SelectionRecord{
+  log_selection(SelectionRecord{
       link.context, link.table.at(0).method,
       "adapt.rerank: table reordered by modeled cost (measured fastest "
       "first)",
@@ -1316,7 +1304,7 @@ void Context::note_adapt_switch(std::string_view method, ContextId target,
     observe({now(), 0, id_, telemetry::Phase::AdaptSwitch,
              tele_->tracer().intern(method), 0, target});
   }
-  selection_log_.push_back(SelectionRecord{
+  log_selection(SelectionRecord{
       target, std::string(method),
       "adapt.switch: " + std::string(payload_class) +
           "-payload class rerouted by modeled cost",

@@ -247,7 +247,11 @@ class Context {
   CommModule* module(std::string_view name);
   const CommModule* module(std::string_view name) const;
   const util::MethodCounters& method_counters(std::string_view name) const;
-  const std::vector<SelectionRecord>& selection_log() const noexcept {
+  /// The newest selection decisions, oldest first: a ring of at most
+  /// kSelectionLogCapacity records, so a long run with periodic reranks or
+  /// failovers keeps constant memory.
+  static constexpr std::size_t kSelectionLogCapacity = 256;
+  const std::deque<SelectionRecord>& selection_log() const noexcept {
     return selection_log_;
   }
   /// Structured selection explanation: for every link of `sp`, report each
@@ -356,6 +360,13 @@ class Context {
   /// Drop a link's cached connection (and every cache entry sharing it) so
   /// the next attempt re-runs selection.
   void evict_connection(Startpoint::Link& link);
+  /// Append to the selection log, evicting the oldest record when full.
+  void log_selection(SelectionRecord rec) {
+    if (selection_log_.size() == kSelectionLogCapacity) {
+      selection_log_.pop_front();
+    }
+    selection_log_.push_back(std::move(rec));
+  }
   /// When everything applicable is quarantined, probe the entry whose
   /// backoff expires soonest instead of failing the RSR.
   std::optional<std::size_t> quarantined_fallback(const DescriptorTable& table);
@@ -429,7 +440,7 @@ class Context {
   /// Invalidated when the selection policy or poll configuration changes.
   std::map<ContextId, std::shared_ptr<CommObject>> forward_routes_;
   HealthTracker health_;
-  std::vector<SelectionRecord> selection_log_;
+  std::deque<SelectionRecord> selection_log_;
   DescriptorTable local_table_;
 
   // Adaptive transport engine state (docs/ARCHITECTURE.md §11).

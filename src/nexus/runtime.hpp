@@ -26,7 +26,6 @@
 #include "nexus/types.hpp"
 #include "simnet/fault.hpp"
 #include "simnet/topology.hpp"
-#include "simnet/trace.hpp"
 #include "util/resource_db.hpp"
 
 namespace nexus {
@@ -145,7 +144,6 @@ class Runtime {
 
   SimFabric* sim() noexcept { return sim_.get(); }
   RtFabric* rt() noexcept { return rt_.get(); }
-  simnet::TraceRecorder& trace() noexcept { return trace_; }
 
   /// The observability bundle: span tracer + metrics registry, shared by
   /// every context of this runtime.
@@ -187,7 +185,6 @@ class Runtime {
   std::vector<std::unique_ptr<Context>> contexts_;
   std::vector<DescriptorTable> tables_;
   std::vector<std::function<void(Context&)>> fns_;
-  simnet::TraceRecorder trace_;
   unsigned threads_ = 1;
   bool ran_ = false;
 };

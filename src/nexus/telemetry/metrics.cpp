@@ -113,6 +113,36 @@ std::string hist_json(const Histogram& h) {
   out += "]}";
   return out;
 }
+
+/// Each histogram is one summary row; a run of counters sharing a group is
+/// one "group: label n ..." line, printed when any of them is nonzero.
+void context_text(std::string& out, const ContextMetrics& cm) {
+  std::string_view group;
+  std::string line;
+  bool any = false;
+  auto end_line = [&] {
+    if (any) out += line + "\n";
+    group = {};
+    any = false;
+  };
+  for (const auto& row : kContextRows) {
+    if (row.hist != nullptr) {
+      end_line();
+      out += hist_summary(row.name, cm.*row.hist);
+      continue;
+    }
+    if (row.group != group) {
+      end_line();
+      group = row.group;
+      line = "    " + std::string(group) + ":";
+    }
+    const std::uint64_t v = cm.*row.counter;
+    line += " " + std::string(row.label) + " " + std::to_string(v);
+    any = any || v != 0;
+  }
+  end_line();
+}
+
 }  // namespace
 
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
@@ -132,73 +162,18 @@ std::string MetricsRegistry::to_text() const {
       current = key.first;
       out += "context " + std::to_string(current) + ":\n";
       if (const ContextMetrics* cm = snap.find_context(current)) {
-        out += hist_summary("rsr_oneway_ns", cm->rsr_oneway_ns);
-        out += hist_summary("handler_ns", cm->handler_ns);
-        out += hist_summary("poll_interval_ns", cm->poll_interval_ns);
-        out += hist_summary("poll_batch", cm->poll_batch);
-        out += hist_summary("rsr_retries", cm->rsr_retries);
-        if (cm->failovers != 0 || cm->suspects != 0 || cm->restores != 0) {
-          out += "    failover: triggered " + std::to_string(cm->failovers) +
-                 " suspects " + std::to_string(cm->suspects) + " restores " +
-                 std::to_string(cm->restores) + "\n";
-        }
-        if (cm->adapt_switches != 0 || cm->adapt_reranks != 0 ||
-            cm->adapt_probes != 0) {
-          out += "    adapt: switches " + std::to_string(cm->adapt_switches) +
-                 " reranks " + std::to_string(cm->adapt_reranks) +
-                 " probes " + std::to_string(cm->adapt_probes) + "\n";
-        }
-        if (cm->peer_deaths != 0 || cm->peer_reborns != 0 ||
-            cm->deadletters != 0 || cm->deadletter_drops != 0 ||
-            cm->deadletter_redeliveries != 0 || cm->send_errors != 0) {
-          out += "    robust: peer_deaths " + std::to_string(cm->peer_deaths) +
-                 " reborns " + std::to_string(cm->peer_reborns) +
-                 " deadletters " + std::to_string(cm->deadletters) +
-                 " dl_drops " + std::to_string(cm->deadletter_drops) +
-                 " dl_redelivered " +
-                 std::to_string(cm->deadletter_redeliveries) +
-                 " send_errors " + std::to_string(cm->send_errors) + "\n";
-        }
-        if (cm->rpc_calls != 0 || cm->rpc_rejected != 0 ||
-            cm->rpc_bulk_pull_chunks != 0 || cm->rpc_bulk_errors != 0) {
-          out += "    rpc: calls " + std::to_string(cm->rpc_calls) +
-                 " deadline_exceeded " +
-                 std::to_string(cm->rpc_deadline_exceeded) + " cancelled " +
-                 std::to_string(cm->rpc_cancelled) + " rejected " +
-                 std::to_string(cm->rpc_rejected) + " peer_died " +
-                 std::to_string(cm->rpc_peer_died) + " late_replies " +
-                 std::to_string(cm->rpc_late_replies) + " bulk_chunks " +
-                 std::to_string(cm->rpc_bulk_pull_chunks) + " bulk_errors " +
-                 std::to_string(cm->rpc_bulk_errors) + "\n";
-        }
-        out += hist_summary("rpc_call_ns", cm->rpc_call_ns);
-        out += hist_summary("rpc_bulk_mb_s", cm->rpc_bulk_mb_s);
+        context_text(out, *cm);
       }
     }
-    const util::MethodCounters& c = mm.counters;
-    out += "  " + key.second + ": sent " + std::to_string(c.sends) + "/" +
-           std::to_string(c.bytes_sent) + "B recv " +
-           std::to_string(c.recvs) + "/" + std::to_string(c.bytes_received) +
-           "B polls " + std::to_string(c.polls) + " hits " +
-           std::to_string(c.poll_hits);
-    if (c.send_errors != 0) out += " send_errors " +
-                                   std::to_string(c.send_errors);
-    if (c.recv_corrupt != 0) out += " recv_corrupt " +
-                                    std::to_string(c.recv_corrupt);
-    if (c.rel_retransmits != 0) out += " rel_retransmits " +
-                                       std::to_string(c.rel_retransmits);
-    if (c.rel_dup_drops != 0) out += " rel_dup_drops " +
-                                     std::to_string(c.rel_dup_drops);
-    if (c.rel_acks_sent != 0) out += " rel_acks_sent " +
-                                     std::to_string(c.rel_acks_sent);
-    if (c.rel_acks_received != 0) out += " rel_acks_received " +
-                                         std::to_string(c.rel_acks_received);
-    if (c.rel_epoch_rejects != 0) out += " rel_epoch_rejects " +
-                                         std::to_string(c.rel_epoch_rejects);
+    out += "  " + key.second + ":";
+    for (const auto& row : util::kMethodCounterRows) {
+      const std::uint64_t v = mm.counters.*row.field;
+      if (v != 0) out += " " + std::string(row.name) + " " + std::to_string(v);
+    }
     out += "\n";
-    out += hist_summary("send_bytes", mm.send_bytes);
-    out += hist_summary("recv_bytes", mm.recv_bytes);
-    out += hist_summary("window_occupancy", mm.window_occupancy);
+    for (const auto& row : kMethodHistRows) {
+      out += hist_summary(row.name, mm.*row.hist);
+    }
   }
   return out;
 }
@@ -210,62 +185,29 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [id, cm] : snap.contexts) {
     if (!first_ctx) out += ",";
     first_ctx = false;
-    out += "{\"context\":" + std::to_string(id) +
-           ",\"rsr_oneway_ns\":" + hist_json(cm.rsr_oneway_ns) +
-           ",\"handler_ns\":" + hist_json(cm.handler_ns) +
-           ",\"poll_interval_ns\":" + hist_json(cm.poll_interval_ns) +
-           ",\"poll_batch\":" + hist_json(cm.poll_batch) +
-           ",\"rsr_retries\":" + hist_json(cm.rsr_retries) +
-           ",\"failovers\":" + std::to_string(cm.failovers) +
-           ",\"suspects\":" + std::to_string(cm.suspects) +
-           ",\"restores\":" + std::to_string(cm.restores) +
-           ",\"adapt_switches\":" + std::to_string(cm.adapt_switches) +
-           ",\"adapt_reranks\":" + std::to_string(cm.adapt_reranks) +
-           ",\"adapt_probes\":" + std::to_string(cm.adapt_probes) +
-           ",\"peer_deaths\":" + std::to_string(cm.peer_deaths) +
-           ",\"peer_reborns\":" + std::to_string(cm.peer_reborns) +
-           ",\"deadletters\":" + std::to_string(cm.deadletters) +
-           ",\"deadletter_drops\":" + std::to_string(cm.deadletter_drops) +
-           ",\"deadletter_redeliveries\":" +
-           std::to_string(cm.deadletter_redeliveries) +
-           ",\"send_errors\":" + std::to_string(cm.send_errors) +
-           ",\"rpc_calls\":" + std::to_string(cm.rpc_calls) +
-           ",\"rpc_deadline_exceeded\":" +
-           std::to_string(cm.rpc_deadline_exceeded) +
-           ",\"rpc_cancelled\":" + std::to_string(cm.rpc_cancelled) +
-           ",\"rpc_rejected\":" + std::to_string(cm.rpc_rejected) +
-           ",\"rpc_peer_died\":" + std::to_string(cm.rpc_peer_died) +
-           ",\"rpc_late_replies\":" + std::to_string(cm.rpc_late_replies) +
-           ",\"rpc_bulk_pull_chunks\":" +
-           std::to_string(cm.rpc_bulk_pull_chunks) +
-           ",\"rpc_bulk_errors\":" + std::to_string(cm.rpc_bulk_errors) +
-           ",\"rpc_call_ns\":" + hist_json(cm.rpc_call_ns) +
-           ",\"rpc_bulk_mb_s\":" + hist_json(cm.rpc_bulk_mb_s) + "}";
+    out += "{\"context\":" + std::to_string(id);
+    for (const auto& row : kContextRows) {
+      out += ",\"" + std::string(row.name) + "\":" +
+             (row.hist != nullptr ? hist_json(cm.*row.hist)
+                                  : std::to_string(cm.*row.counter));
+    }
+    out += "}";
   }
   out += "],\"methods\":[";
   bool first_m = true;
   for (const auto& [key, mm] : snap.methods) {
     if (!first_m) out += ",";
     first_m = false;
-    const util::MethodCounters& c = mm.counters;
     out += "{\"context\":" + std::to_string(key.first) +
-           ",\"method\":" + json_quote(key.second) +
-           ",\"sends\":" + std::to_string(c.sends) +
-           ",\"recvs\":" + std::to_string(c.recvs) +
-           ",\"bytes_sent\":" + std::to_string(c.bytes_sent) +
-           ",\"bytes_received\":" + std::to_string(c.bytes_received) +
-           ",\"polls\":" + std::to_string(c.polls) +
-           ",\"poll_hits\":" + std::to_string(c.poll_hits) +
-           ",\"send_errors\":" + std::to_string(c.send_errors) +
-           ",\"recv_corrupt\":" + std::to_string(c.recv_corrupt) +
-           ",\"rel_retransmits\":" + std::to_string(c.rel_retransmits) +
-           ",\"rel_dup_drops\":" + std::to_string(c.rel_dup_drops) +
-           ",\"rel_acks_sent\":" + std::to_string(c.rel_acks_sent) +
-           ",\"rel_acks_received\":" + std::to_string(c.rel_acks_received) +
-           ",\"rel_epoch_rejects\":" + std::to_string(c.rel_epoch_rejects) +
-           ",\"send_bytes\":" + hist_json(mm.send_bytes) +
-           ",\"recv_bytes\":" + hist_json(mm.recv_bytes) +
-           ",\"window_occupancy\":" + hist_json(mm.window_occupancy) + "}";
+           ",\"method\":" + json_quote(key.second);
+    for (const auto& row : util::kMethodCounterRows) {
+      out += ",\"" + std::string(row.name) +
+             "\":" + std::to_string(mm.counters.*row.field);
+    }
+    for (const auto& row : kMethodHistRows) {
+      out += ",\"" + std::string(row.name) + "\":" + hist_json(mm.*row.hist);
+    }
+    out += "}";
   }
   out += "]}";
   return out;
@@ -300,107 +242,52 @@ void prom_counter(std::string& out, std::string_view family,
   out += std::string(family) + "{" + labels + "} " + std::to_string(v) + "\n";
 }
 
+void prom_type(std::string& out, std::string_view family,
+               std::string_view type) {
+  out += "# TYPE " + std::string(family) + " " + std::string(type) + "\n";
+}
+
 }  // namespace
 
 std::string MetricsRegistry::to_prometheus() const {
   const Snapshot snap = snapshot();
   std::string out;
 
-  static constexpr const char* kCtxHists[] = {
-      "nexus_rsr_oneway_ns", "nexus_handler_ns", "nexus_poll_interval_ns",
-      "nexus_poll_batch", "nexus_rsr_retries", "nexus_rpc_call_ns",
-      "nexus_rpc_bulk_mb_s"};
-  for (const char* f : kCtxHists) {
-    out += std::string("# TYPE ") + f + " histogram\n";
+  // Context families: histograms declared first, then counters.
+  for (const auto& row : kContextRows) {
+    if (row.hist != nullptr) prom_type(out, row.prom, "histogram");
   }
-  static constexpr const char* kCtxCounters[] = {
-      "nexus_failovers_total", "nexus_suspects_total", "nexus_restores_total",
-      "nexus_adapt_switches_total", "nexus_adapt_reranks_total",
-      "nexus_adapt_probes_total", "nexus_peer_deaths_total",
-      "nexus_peer_reborns_total", "nexus_deadletters_total",
-      "nexus_deadletter_drops_total", "nexus_deadletter_redeliveries_total",
-      "nexus_ctx_send_errors_total", "nexus_rpc_calls_total",
-      "nexus_rpc_deadline_exceeded_total", "nexus_rpc_cancelled_total",
-      "nexus_rpc_rejected_total", "nexus_rpc_peer_died_total",
-      "nexus_rpc_late_replies_total", "nexus_rpc_bulk_pull_chunks_total",
-      "nexus_rpc_bulk_errors_total"};
-  for (const char* f : kCtxCounters) {
-    out += std::string("# TYPE ") + f + " counter\n";
+  for (const auto& row : kContextRows) {
+    if (row.counter != nullptr) prom_type(out, row.prom, "counter");
   }
   for (const auto& [id, cm] : snap.contexts) {
     const std::string labels = "context=\"" + std::to_string(id) + "\"";
-    prom_histogram(out, "nexus_rsr_oneway_ns", labels, cm.rsr_oneway_ns);
-    prom_histogram(out, "nexus_handler_ns", labels, cm.handler_ns);
-    prom_histogram(out, "nexus_poll_interval_ns", labels,
-                   cm.poll_interval_ns);
-    prom_histogram(out, "nexus_poll_batch", labels, cm.poll_batch);
-    prom_histogram(out, "nexus_rsr_retries", labels, cm.rsr_retries);
-    prom_counter(out, "nexus_failovers_total", labels, cm.failovers);
-    prom_counter(out, "nexus_suspects_total", labels, cm.suspects);
-    prom_counter(out, "nexus_restores_total", labels, cm.restores);
-    prom_counter(out, "nexus_adapt_switches_total", labels,
-                 cm.adapt_switches);
-    prom_counter(out, "nexus_adapt_reranks_total", labels, cm.adapt_reranks);
-    prom_counter(out, "nexus_adapt_probes_total", labels, cm.adapt_probes);
-    prom_counter(out, "nexus_peer_deaths_total", labels, cm.peer_deaths);
-    prom_counter(out, "nexus_peer_reborns_total", labels, cm.peer_reborns);
-    prom_counter(out, "nexus_deadletters_total", labels, cm.deadletters);
-    prom_counter(out, "nexus_deadletter_drops_total", labels,
-                 cm.deadletter_drops);
-    prom_counter(out, "nexus_deadletter_redeliveries_total", labels,
-                 cm.deadletter_redeliveries);
-    prom_counter(out, "nexus_ctx_send_errors_total", labels, cm.send_errors);
-    prom_counter(out, "nexus_rpc_calls_total", labels, cm.rpc_calls);
-    prom_counter(out, "nexus_rpc_deadline_exceeded_total", labels,
-                 cm.rpc_deadline_exceeded);
-    prom_counter(out, "nexus_rpc_cancelled_total", labels, cm.rpc_cancelled);
-    prom_counter(out, "nexus_rpc_rejected_total", labels, cm.rpc_rejected);
-    prom_counter(out, "nexus_rpc_peer_died_total", labels, cm.rpc_peer_died);
-    prom_counter(out, "nexus_rpc_late_replies_total", labels,
-                 cm.rpc_late_replies);
-    prom_counter(out, "nexus_rpc_bulk_pull_chunks_total", labels,
-                 cm.rpc_bulk_pull_chunks);
-    prom_counter(out, "nexus_rpc_bulk_errors_total", labels,
-                 cm.rpc_bulk_errors);
-    prom_histogram(out, "nexus_rpc_call_ns", labels, cm.rpc_call_ns);
-    prom_histogram(out, "nexus_rpc_bulk_mb_s", labels, cm.rpc_bulk_mb_s);
+    for (const auto& row : kContextRows) {
+      if (row.hist != nullptr) {
+        prom_histogram(out, row.prom, labels, cm.*row.hist);
+      } else {
+        prom_counter(out, row.prom, labels, cm.*row.counter);
+      }
+    }
   }
 
-  static constexpr const char* kMethodCounters[] = {
-      "nexus_sends_total", "nexus_recvs_total", "nexus_bytes_sent_total",
-      "nexus_bytes_received_total", "nexus_polls_total",
-      "nexus_poll_hits_total", "nexus_send_errors_total",
-      "nexus_recv_corrupt_total", "nexus_rel_retransmits_total",
-      "nexus_rel_dup_drops_total", "nexus_rel_epoch_rejects_total"};
-  for (const char* f : kMethodCounters) {
-    out += std::string("# TYPE ") + f + " counter\n";
+  // Method families: counters declared first, then histograms.
+  for (const auto& row : util::kMethodCounterRows) {
+    prom_type(out, row.prom, "counter");
   }
-  out += "# TYPE nexus_send_bytes histogram\n";
-  out += "# TYPE nexus_recv_bytes histogram\n";
-  out += "# TYPE nexus_window_occupancy histogram\n";
+  for (const auto& row : kMethodHistRows) {
+    prom_type(out, row.prom, "histogram");
+  }
   for (const auto& [key, mm] : snap.methods) {
     const std::string labels = "context=\"" + std::to_string(key.first) +
                                "\",method=\"" + json_escape(key.second) +
                                "\"";
-    const util::MethodCounters& c = mm.counters;
-    prom_counter(out, "nexus_sends_total", labels, c.sends);
-    prom_counter(out, "nexus_recvs_total", labels, c.recvs);
-    prom_counter(out, "nexus_bytes_sent_total", labels, c.bytes_sent);
-    prom_counter(out, "nexus_bytes_received_total", labels,
-                 c.bytes_received);
-    prom_counter(out, "nexus_polls_total", labels, c.polls);
-    prom_counter(out, "nexus_poll_hits_total", labels, c.poll_hits);
-    prom_counter(out, "nexus_send_errors_total", labels, c.send_errors);
-    prom_counter(out, "nexus_recv_corrupt_total", labels, c.recv_corrupt);
-    prom_counter(out, "nexus_rel_retransmits_total", labels,
-                 c.rel_retransmits);
-    prom_counter(out, "nexus_rel_dup_drops_total", labels, c.rel_dup_drops);
-    prom_counter(out, "nexus_rel_epoch_rejects_total", labels,
-                 c.rel_epoch_rejects);
-    prom_histogram(out, "nexus_send_bytes", labels, mm.send_bytes);
-    prom_histogram(out, "nexus_recv_bytes", labels, mm.recv_bytes);
-    prom_histogram(out, "nexus_window_occupancy", labels,
-                   mm.window_occupancy);
+    for (const auto& row : util::kMethodCounterRows) {
+      prom_counter(out, row.prom, labels, mm.counters.*row.field);
+    }
+    for (const auto& row : kMethodHistRows) {
+      prom_histogram(out, row.prom, labels, mm.*row.hist);
+    }
   }
   return out;
 }

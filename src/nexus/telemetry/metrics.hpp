@@ -85,7 +85,8 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-/// Everything tracked for one (context, method) pair.
+/// Everything tracked for one (context, method) pair.  The counters are
+/// named in util::kMethodCounterRows, the histograms in kMethodHistRows.
 struct MethodMetrics {
   util::MethodCounters counters;  ///< canonical storage; modules bind here
   Histogram send_bytes;           ///< wire bytes per send
@@ -95,7 +96,8 @@ struct MethodMetrics {
   Histogram window_occupancy;
 };
 
-/// Per-context quantities not attributable to a single method.
+/// Per-context quantities not attributable to a single method.  Every field
+/// has one row in kContextRows.
 struct ContextMetrics {
   Histogram rsr_oneway_ns;     ///< send clock -> dispatch clock, per RSR
   Histogram handler_ns;        ///< handler body run time (inclusive)
@@ -138,6 +140,104 @@ struct ContextMetrics {
   std::uint64_t rpc_bulk_errors = 0;
   Histogram rpc_call_ns;    ///< client-observed call latency (Ok calls)
   Histogram rpc_bulk_mb_s;  ///< bulk pull throughput per transfer, MB/s
+};
+
+/// One counter or histogram member of S and the names the exporters print
+/// for it.  Exactly one of `counter` / `hist` is set.
+template <class S>
+struct MetricRow {
+  std::uint64_t S::*counter = nullptr;
+  Histogram S::*hist = nullptr;
+  std::string_view name;   ///< JSON key; to_text() label of a histogram
+  std::string_view prom;   ///< Prometheus family
+  std::string_view group;  ///< to_text() line a counter is printed on
+  std::string_view label;  ///< the counter's label on that line
+};
+
+template <class S>
+constexpr MetricRow<S> hist_row(Histogram S::*h, std::string_view name,
+                                std::string_view prom) {
+  return {nullptr, h, name, prom, {}, {}};
+}
+
+template <class S>
+constexpr MetricRow<S> counter_row(std::uint64_t S::*c, std::string_view name,
+                                   std::string_view prom,
+                                   std::string_view group,
+                                   std::string_view label) {
+  return {c, nullptr, name, prom, group, label};
+}
+
+/// The only place a context metric is named.  to_text(), to_json() and
+/// to_prometheus() iterate the rows in this order; consecutive counters of
+/// one group share a to_text() line.  Adding a metric is one ContextMetrics
+/// field plus one row here.
+inline constexpr MetricRow<ContextMetrics> kContextRows[] = {
+    hist_row(&ContextMetrics::rsr_oneway_ns, "rsr_oneway_ns",
+             "nexus_rsr_oneway_ns"),
+    hist_row(&ContextMetrics::handler_ns, "handler_ns", "nexus_handler_ns"),
+    hist_row(&ContextMetrics::poll_interval_ns, "poll_interval_ns",
+             "nexus_poll_interval_ns"),
+    hist_row(&ContextMetrics::poll_batch, "poll_batch", "nexus_poll_batch"),
+    hist_row(&ContextMetrics::rsr_retries, "rsr_retries",
+             "nexus_rsr_retries"),
+    counter_row(&ContextMetrics::failovers, "failovers",
+                "nexus_failovers_total", "failover", "triggered"),
+    counter_row(&ContextMetrics::suspects, "suspects", "nexus_suspects_total",
+                "failover", "suspects"),
+    counter_row(&ContextMetrics::restores, "restores", "nexus_restores_total",
+                "failover", "restores"),
+    counter_row(&ContextMetrics::adapt_switches, "adapt_switches",
+                "nexus_adapt_switches_total", "adapt", "switches"),
+    counter_row(&ContextMetrics::adapt_reranks, "adapt_reranks",
+                "nexus_adapt_reranks_total", "adapt", "reranks"),
+    counter_row(&ContextMetrics::adapt_probes, "adapt_probes",
+                "nexus_adapt_probes_total", "adapt", "probes"),
+    counter_row(&ContextMetrics::peer_deaths, "peer_deaths",
+                "nexus_peer_deaths_total", "robust", "peer_deaths"),
+    counter_row(&ContextMetrics::peer_reborns, "peer_reborns",
+                "nexus_peer_reborns_total", "robust", "reborns"),
+    counter_row(&ContextMetrics::deadletters, "deadletters",
+                "nexus_deadletters_total", "robust", "deadletters"),
+    counter_row(&ContextMetrics::deadletter_drops, "deadletter_drops",
+                "nexus_deadletter_drops_total", "robust", "dl_drops"),
+    counter_row(&ContextMetrics::deadletter_redeliveries,
+                "deadletter_redeliveries",
+                "nexus_deadletter_redeliveries_total", "robust",
+                "dl_redelivered"),
+    // "ctx_": the per-method family nexus_send_errors_total is a different
+    // quantity with a different label set.
+    counter_row(&ContextMetrics::send_errors, "send_errors",
+                "nexus_ctx_send_errors_total", "robust", "send_errors"),
+    counter_row(&ContextMetrics::rpc_calls, "rpc_calls",
+                "nexus_rpc_calls_total", "rpc", "calls"),
+    counter_row(&ContextMetrics::rpc_deadline_exceeded,
+                "rpc_deadline_exceeded", "nexus_rpc_deadline_exceeded_total",
+                "rpc", "deadline_exceeded"),
+    counter_row(&ContextMetrics::rpc_cancelled, "rpc_cancelled",
+                "nexus_rpc_cancelled_total", "rpc", "cancelled"),
+    counter_row(&ContextMetrics::rpc_rejected, "rpc_rejected",
+                "nexus_rpc_rejected_total", "rpc", "rejected"),
+    counter_row(&ContextMetrics::rpc_peer_died, "rpc_peer_died",
+                "nexus_rpc_peer_died_total", "rpc", "peer_died"),
+    counter_row(&ContextMetrics::rpc_late_replies, "rpc_late_replies",
+                "nexus_rpc_late_replies_total", "rpc", "late_replies"),
+    counter_row(&ContextMetrics::rpc_bulk_pull_chunks, "rpc_bulk_pull_chunks",
+                "nexus_rpc_bulk_pull_chunks_total", "rpc", "bulk_chunks"),
+    counter_row(&ContextMetrics::rpc_bulk_errors, "rpc_bulk_errors",
+                "nexus_rpc_bulk_errors_total", "rpc", "bulk_errors"),
+    hist_row(&ContextMetrics::rpc_call_ns, "rpc_call_ns", "nexus_rpc_call_ns"),
+    hist_row(&ContextMetrics::rpc_bulk_mb_s, "rpc_bulk_mb_s",
+             "nexus_rpc_bulk_mb_s"),
+};
+
+/// The histograms of MethodMetrics; its counters are the rows of
+/// util::kMethodCounterRows.
+inline constexpr MetricRow<MethodMetrics> kMethodHistRows[] = {
+    hist_row(&MethodMetrics::send_bytes, "send_bytes", "nexus_send_bytes"),
+    hist_row(&MethodMetrics::recv_bytes, "recv_bytes", "nexus_recv_bytes"),
+    hist_row(&MethodMetrics::window_occupancy, "window_occupancy",
+             "nexus_window_occupancy"),
 };
 
 /// Poll intervals are sampled once per this many poll_once() iterations

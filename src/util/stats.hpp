@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nexus::util {
@@ -104,7 +105,8 @@ class DecayingEwma {
   std::size_t n_ = 0;
 };
 
-/// Monotonically-labelled counter bundle used for enquiry functions.
+/// Monotonically-labelled counter bundle used for enquiry functions.  Every
+/// field has one row in kMethodCounterRows below.
 struct MethodCounters {
   std::uint64_t sends = 0;
   std::uint64_t recvs = 0;
@@ -123,22 +125,47 @@ struct MethodCounters {
   std::uint64_t rel_epoch_rejects = 0;  ///< stale-incarnation Data frames and
                                         ///< ghost acks rejected
 
-  void merge(const MethodCounters& o) noexcept {
-    sends += o.sends;
-    recvs += o.recvs;
-    bytes_sent += o.bytes_sent;
-    bytes_received += o.bytes_received;
-    polls += o.polls;
-    poll_hits += o.poll_hits;
-    send_errors += o.send_errors;
-    recv_corrupt += o.recv_corrupt;
-    rel_retransmits += o.rel_retransmits;
-    rel_dup_drops += o.rel_dup_drops;
-    rel_acks_sent += o.rel_acks_sent;
-    rel_acks_received += o.rel_acks_received;
-    rel_epoch_rejects += o.rel_epoch_rejects;
-  }
+  void merge(const MethodCounters& o) noexcept;
 };
+
+/// One MethodCounters field and the names the exporters print for it.
+struct MethodCounterRow {
+  std::uint64_t MethodCounters::*field;
+  std::string_view name;  ///< JSON key and to_text() label
+  std::string_view prom;  ///< Prometheus counter family
+};
+
+/// The only place a method counter is named: merge() and every exporter
+/// (telemetry/metrics.cpp) iterate this table, in this order, so adding a
+/// counter is one field plus one row.
+inline constexpr MethodCounterRow kMethodCounterRows[] = {
+    {&MethodCounters::sends, "sends", "nexus_sends_total"},
+    {&MethodCounters::recvs, "recvs", "nexus_recvs_total"},
+    {&MethodCounters::bytes_sent, "bytes_sent", "nexus_bytes_sent_total"},
+    {&MethodCounters::bytes_received, "bytes_received",
+     "nexus_bytes_received_total"},
+    {&MethodCounters::polls, "polls", "nexus_polls_total"},
+    {&MethodCounters::poll_hits, "poll_hits", "nexus_poll_hits_total"},
+    {&MethodCounters::send_errors, "send_errors", "nexus_send_errors_total"},
+    {&MethodCounters::recv_corrupt, "recv_corrupt",
+     "nexus_recv_corrupt_total"},
+    {&MethodCounters::rel_retransmits, "rel_retransmits",
+     "nexus_rel_retransmits_total"},
+    {&MethodCounters::rel_dup_drops, "rel_dup_drops",
+     "nexus_rel_dup_drops_total"},
+    {&MethodCounters::rel_acks_sent, "rel_acks_sent",
+     "nexus_rel_acks_sent_total"},
+    {&MethodCounters::rel_acks_received, "rel_acks_received",
+     "nexus_rel_acks_received_total"},
+    {&MethodCounters::rel_epoch_rejects, "rel_epoch_rejects",
+     "nexus_rel_epoch_rejects_total"},
+};
+
+inline void MethodCounters::merge(const MethodCounters& o) noexcept {
+  for (const MethodCounterRow& r : kMethodCounterRows) {
+    this->*r.field += o.*r.field;
+  }
+}
 
 /// Format a double with fixed precision (helper for table printing).
 std::string fmt_fixed(double v, int precision);

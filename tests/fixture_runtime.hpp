@@ -87,6 +87,21 @@ inline std::vector<std::uint64_t> trace_ids(Runtime& rt) {
   return out;
 }
 
+/// Retained tracer events of `phase`; with a non-empty `label`, only those
+/// whose interned label (method or handler name) matches it.
+inline std::size_t count_events(Runtime& rt, telemetry::Phase phase,
+                                std::string_view label = {}) {
+  const telemetry::Tracer& tracer = rt.telemetry().tracer();
+  std::size_t n = 0;
+  for (const auto& ev : tracer.events()) {
+    if (ev.phase == phase &&
+        (label.empty() || tracer.label_name(ev.label) == label)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
 /// Retained tracer events carrying `trace`, in recording order.
 inline std::vector<telemetry::Event> events_of_trace(Runtime& rt,
                                                      std::uint64_t trace) {

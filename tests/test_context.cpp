@@ -15,6 +15,7 @@ namespace {
 using namespace nexus;
 using simnet::kMs;
 using simnet::kUs;
+using nexus::testing::count_events;
 using nexus::testing::run_mpmd;
 using nexus::testing::sim_opts;
 
@@ -291,6 +292,36 @@ TEST(ContextRsr, SelectionLogRecordsDecisions) {
                 }});
 }
 
+TEST(ContextRsr, SelectionLogIsABoundedRing) {
+  // Alternating the forced method re-runs selection on every RSR; the log
+  // keeps only the newest kSelectionLogCapacity decisions.
+  constexpr std::size_t kCap = Context::kSelectionLogCapacity;
+  constexpr std::size_t kRsrs = kCap + 44;
+  auto method_of = [](std::size_t i) { return i % 2 ? "tcp" : "mpl"; };
+  Runtime rt(sim_opts(simnet::Topology::single_partition(2)));
+  run_mpmd(rt, {[&](Context& ctx) {
+                  std::uint64_t done = 0;
+                  ctx.register_handler("noop", [&](Context&, Endpoint&,
+                                                   util::UnpackBuffer&) {
+                    ++done;
+                  });
+                  ctx.wait_count(done, kRsrs);
+                },
+                [&](Context& ctx) {
+                  Startpoint sp = ctx.world_startpoint(0);
+                  for (std::size_t i = 0; i < kRsrs; ++i) {
+                    sp.force_method(method_of(i));
+                    ctx.rsr(sp, "noop");
+                  }
+                  const auto& log = ctx.selection_log();
+                  ASSERT_EQ(log.size(), kCap);
+                  EXPECT_EQ(log.back().method, method_of(kRsrs - 1));
+                  EXPECT_GT(log.back().when, log[kCap - 2].when);
+                  EXPECT_EQ(log.front().method, method_of(kRsrs - kCap));
+                  EXPECT_EQ(log.back().reason, "forced by application");
+                }});
+}
+
 TEST(ContextRsr, CommObjectsSharedAcrossStartpoints) {
   // Paper §3.1: communication objects are shared among startpoints that
   // reference the same context with the same method.
@@ -357,7 +388,7 @@ TEST(Forwarding, RoutesViaForwarderAndDisablesTcpPolls) {
   RuntimeOptions opts = sim_opts(simnet::Topology::two_partitions(2, 2));
   opts.forwarders[1] = 2;
   Runtime rt(opts);
-  rt.trace().enable();
+  rt.telemetry().tracer().enable();
 
   run_mpmd(rt,
            {[&](Context& ctx) {
@@ -387,7 +418,7 @@ TEST(Forwarding, RoutesViaForwarderAndDisablesTcpPolls) {
               EXPECT_GE(ctx.method_counters("mpl").recvs, 1u);
             }});
 
-  EXPECT_GE(rt.trace().count(simnet::TraceKind::Forward, "mpl"), 1u);
+  EXPECT_GE(count_events(rt, telemetry::Phase::Forward, "mpl"), 1u);
 }
 
 TEST(Forwarding, MisconfiguredForwarderRejected) {

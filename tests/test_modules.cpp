@@ -128,7 +128,7 @@ TEST(Modules, SecureTamperDetectedOnDelivery) {
         // shared buffer with a corrupted copy.
         util::Bytes tampered = stolen->payload.to_bytes();
         tampered[3] ^= 0x40;
-        stolen->payload = std::move(tampered);
+        stolen->payload = util::SharedBytes::copy_of(tampered);
         box.post(ctx.now() + simnet::kMs, std::move(*stolen));
       }),
       util::MethodError);

@@ -17,6 +17,7 @@
 namespace {
 
 using namespace nexus;
+using nexus::testing::count_events;
 using nexus::testing::opts_with;
 using nexus::testing::register_counter;
 using nexus::testing::run_mpmd;
@@ -263,7 +264,7 @@ TEST(Drain, ForwarderHandsRelayDutyToSibling) {
   // virtual clock (docs §13.4): single-shard only.
   opts.threads = 1;
   Runtime rt(opts);
-  rt.trace().enable();
+  rt.telemetry().tracer().enable();
 
   std::atomic<int> phase{0};  // 0: pre-drain, 1: drained, 2: all sent
   std::atomic<int> delivered{0};
@@ -318,7 +319,7 @@ TEST(Drain, ForwarderHandsRelayDutyToSibling) {
   // Batch 2 took an extra relay hop: the sibling forwarded traffic that was
   // not addressed to it.
   EXPECT_GE(rt.context(3).method_counters("mpl").recvs, 1u);
-  EXPECT_GE(rt.trace().count(simnet::TraceKind::Forward, "mpl"), 2u);
+  EXPECT_GE(count_events(rt, telemetry::Phase::Forward, "mpl"), 2u);
 }
 
 // Draining toward a context that does not exist is a configuration error.

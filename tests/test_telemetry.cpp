@@ -581,6 +581,49 @@ TEST(MetricsText, PrometheusExpositionHasTypesAndInfBucket) {
   EXPECT_NE(prom.find("le=\"+Inf\""), std::string::npos);
   EXPECT_NE(prom.find("nexus_sends_total{context=\"1\",method=\"mpl\"}"),
             std::string::npos);
+
+  // Every row of the context and method tables reaches the exposition as a
+  // # TYPE line plus a sample line, so no counter can go missing from one
+  // exporter while the others carry it.
+  telemetry::MetricsRegistry reg;
+  reg.context(0).failovers = 1;
+  util::MethodCounters& rel = reg.method(0, "rel+udp").counters;
+  rel.rel_acks_sent = 7;
+  rel.rel_acks_received = 5;
+  const std::string bare = reg.to_prometheus();
+  auto expect_family = [&](std::string_view family, std::string_view type,
+                           std::string_view sample) {
+    EXPECT_NE(bare.find("# TYPE " + std::string(family) + " " +
+                        std::string(type) + "\n"),
+              std::string::npos)
+        << family;
+    EXPECT_NE(bare.find("\n" + std::string(family) + std::string(sample)),
+              std::string::npos)
+        << family;
+  };
+  for (const auto& row : telemetry::kContextRows) {
+    if (row.counter != nullptr) {
+      expect_family(row.prom, "counter", "{context=\"0\"} ");
+    } else {
+      expect_family(row.prom, "histogram", "_bucket{context=\"0\",le=");
+    }
+  }
+  const std::string method_labels = "{context=\"0\",method=\"rel+udp\"";
+  for (const auto& row : util::kMethodCounterRows) {
+    expect_family(row.prom, "counter", method_labels + "} ");
+  }
+  for (const auto& row : telemetry::kMethodHistRows) {
+    expect_family(row.prom, "histogram", "_bucket" + method_labels + ",le=");
+  }
+  EXPECT_NE(bare.find("# TYPE nexus_rel_acks_sent_total counter\n"),
+            std::string::npos);
+  EXPECT_NE(bare.find("# TYPE nexus_rel_acks_received_total counter\n"),
+            std::string::npos);
+  EXPECT_NE(bare.find("\nnexus_rel_acks_sent_total" + method_labels + "} 7\n"),
+            std::string::npos);
+  EXPECT_NE(
+      bare.find("\nnexus_rel_acks_received_total" + method_labels + "} 5\n"),
+      std::string::npos);
 }
 
 TEST(MetricsExporterUnit, WritesOneWellFormedJsonLinePerSample) {

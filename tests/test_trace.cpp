@@ -1,12 +1,14 @@
-// Trace recorder integration: event sequences recorded across a run.
+// Tracer integration: RSR lifecycle events recorded across a run.
 #include <gtest/gtest.h>
 
+#include "fixture_runtime.hpp"
 #include "nexus/runtime.hpp"
-#include "simnet/trace.hpp"
 
 namespace {
 
 using namespace nexus;
+using nexus::testing::count_events;
+using telemetry::Phase;
 
 TEST(Trace, DisabledByDefaultRecordsNothing) {
   RuntimeOptions opts;
@@ -24,14 +26,14 @@ TEST(Trace, DisabledByDefaultRecordsNothing) {
       ctx.wait_count(done, 1);
     }
   });
-  EXPECT_TRUE(rt.trace().events().empty());
+  EXPECT_TRUE(rt.telemetry().tracer().events().empty());
 }
 
 TEST(Trace, SendAndDispatchRecordedInOrder) {
   RuntimeOptions opts;
   opts.topology = simnet::Topology::single_partition(2);
   Runtime rt(opts);
-  rt.trace().enable();
+  rt.telemetry().tracer().enable();
   rt.run([&](Context& ctx) {
     std::uint64_t done = 0;
     ctx.register_handler("ev", [&](Context&, Endpoint&, util::UnpackBuffer&) {
@@ -44,16 +46,14 @@ TEST(Trace, SendAndDispatchRecordedInOrder) {
       ctx.wait_count(done, 3);
     }
   });
-  EXPECT_EQ(rt.trace().count(simnet::TraceKind::Send, "mpl"), 3u);
-  EXPECT_EQ(rt.trace().count(simnet::TraceKind::Dispatch), 3u);
+  EXPECT_EQ(count_events(rt, Phase::Send, "mpl"), 3u);
+  EXPECT_EQ(count_events(rt, Phase::Dispatch), 3u);
   // Every dispatch happens after its send (virtual timestamps monotone per
   // message; here simply: first send precedes first dispatch).
   Time first_send = -1, first_dispatch = -1;
-  for (const auto& ev : rt.trace().events()) {
-    if (ev.kind == simnet::TraceKind::Send && first_send < 0) {
-      first_send = ev.when;
-    }
-    if (ev.kind == simnet::TraceKind::Dispatch && first_dispatch < 0) {
+  for (const auto& ev : rt.telemetry().tracer().events()) {
+    if (ev.phase == Phase::Send && first_send < 0) first_send = ev.when;
+    if (ev.phase == Phase::Dispatch && first_dispatch < 0) {
       first_dispatch = ev.when;
     }
   }
@@ -65,7 +65,7 @@ TEST(Trace, ForwardEventsCarryTheRelayMethod) {
   opts.topology = simnet::Topology::two_partitions(2, 2);
   opts.forwarders[1] = 2;
   Runtime rt(opts);
-  rt.trace().enable();
+  rt.telemetry().tracer().enable();
   rt.run(std::vector<std::function<void(Context&)>>{
       [&](Context& ctx) {
         Startpoint sp = ctx.world_startpoint(3);
@@ -85,22 +85,15 @@ TEST(Trace, ForwardEventsCarryTheRelayMethod) {
                              });
         ctx.wait_count(done, 1);
       }});
-  ASSERT_GE(rt.trace().count(simnet::TraceKind::Forward), 1u);
-  for (const auto& ev : rt.trace().events()) {
-    if (ev.kind == simnet::TraceKind::Forward) {
-      EXPECT_EQ(ev.method, "mpl");  // relayed into the partition over mpl
-      EXPECT_EQ(ev.context, 2u);    // by the forwarder
+  ASSERT_GE(count_events(rt, Phase::Forward), 1u);
+  const telemetry::Tracer& tracer = rt.telemetry().tracer();
+  for (const auto& ev : tracer.events()) {
+    if (ev.phase == Phase::Forward) {
+      // Relayed into the partition over mpl, by the forwarder.
+      EXPECT_EQ(tracer.label_name(ev.label), "mpl");
+      EXPECT_EQ(ev.context, 2u);
     }
   }
-}
-
-TEST(Trace, ClearResetsTheLog) {
-  simnet::TraceRecorder tr;
-  tr.enable();
-  tr.record({1, 0, simnet::TraceKind::Custom, "m", 0, "note"});
-  EXPECT_EQ(tr.events().size(), 1u);
-  tr.clear();
-  EXPECT_TRUE(tr.events().empty());
 }
 
 TEST(Describe, ReportsPollScheduleAndForwarders) {
