@@ -157,6 +157,128 @@ inline double nexus_pingpong_us(RuntimeOptions opts, std::size_t payload,
   return one_way_us;
 }
 
+/// One row of Figure 6: one-way times of the two concurrent ping-pongs.
+struct DualResult {
+  double mpl_one_way_us = 0.0;
+  double tcp_one_way_us = 0.0;
+};
+
+/// Figure 6's dual concurrent ping-pong: context 1 drives `mpl_rounds`
+/// MPL round trips to context 0 while context 2, in the other partition,
+/// ping-pongs with context 0 over TCP until halted; every context polls tcp
+/// with `skip`.  One-way times are virtual microseconds.
+inline DualResult dual_pingpong(std::uint64_t skip, std::size_t payload,
+                                int mpl_rounds) {
+  RuntimeOptions opts;
+  // ctx0 and ctx1 share a partition (MPL pair); ctx2 sits in a second
+  // partition and can reach ctx0 only via TCP.
+  opts.topology = nexus::simnet::Topology::two_partitions(2, 1);
+  opts.modules = {"local", "mpl", "tcp"};
+  Runtime rt(opts);
+
+  DualResult result;
+  const nexus::util::Bytes data(payload, 0x7e);
+
+  rt.run(std::vector<std::function<void(Context&)>>{
+      // ctx0: the shared multimethod node; reflects both ping-pongs.
+      [&](Context& ctx) {
+        ctx.set_skip_poll("tcp", skip);
+        Startpoint reply1, reply2;
+        std::uint64_t stops = 0;
+        ctx.register_handler("setup1",
+                             [&](Context& c, nexus::Endpoint&,
+                                 nexus::util::UnpackBuffer& ub) {
+                               reply1 = c.unpack_startpoint(ub);
+                             });
+        ctx.register_handler("setup2",
+                             [&](Context& c, nexus::Endpoint&,
+                                 nexus::util::UnpackBuffer& ub) {
+                               reply2 = c.unpack_startpoint(ub);
+                             });
+        ctx.register_handler("ping1",
+                             [&](Context& c, nexus::Endpoint&,
+                                 nexus::util::UnpackBuffer& ub) {
+                               c.rsr(reply1, "pong", ub.get_bytes());
+                             });
+        ctx.register_handler("ping2",
+                             [&](Context& c, nexus::Endpoint&,
+                                 nexus::util::UnpackBuffer& ub) {
+                               c.rsr(reply2, "pong", ub.get_bytes());
+                             });
+        ctx.register_handler("stop",
+                             [&](Context&, nexus::Endpoint&,
+                                 nexus::util::UnpackBuffer&) {
+                               ++stops;
+                             });
+        ctx.wait_count(stops, 2);
+      },
+      // ctx1: drives the MPL ping-pong for a fixed number of roundtrips.
+      [&](Context& ctx) {
+        ctx.set_skip_poll("tcp", skip);
+        std::uint64_t got = 0;
+        ctx.register_handler("pong",
+                             [&](Context&, nexus::Endpoint&,
+                                 nexus::util::UnpackBuffer&) {
+                               ++got;
+                             });
+        Startpoint to0 = ctx.world_startpoint(0);
+        {
+          Startpoint back = ctx.startpoint_to(ctx.root_endpoint());
+          nexus::util::PackBuffer pb;
+          ctx.pack_startpoint(pb, back);
+          ctx.rsr(to0, "setup1", pb);
+        }
+        nexus::util::PackBuffer pb;
+        pb.put_bytes(data);
+        const Time t0 = ctx.now();
+        for (int r = 0; r < mpl_rounds; ++r) {
+          ctx.rsr(to0, "ping1", pb);
+          ctx.wait_count(got, static_cast<std::uint64_t>(r) + 1);
+        }
+        result.mpl_one_way_us =
+            nexus::simnet::to_us(ctx.now() - t0) / (2.0 * mpl_rounds);
+        Startpoint to2 = ctx.world_startpoint(2);
+        ctx.rsr(to2, "halt");
+        ctx.rsr(to0, "stop");
+      },
+      // ctx2: drives the TCP ping-pong until halted.
+      [&](Context& ctx) {
+        ctx.set_skip_poll("tcp", skip);
+        std::uint64_t got = 0;
+        bool halted = false;
+        ctx.register_handler("pong",
+                             [&](Context&, nexus::Endpoint&,
+                                 nexus::util::UnpackBuffer&) {
+                               ++got;
+                             });
+        ctx.register_handler("halt",
+                             [&](Context&, nexus::Endpoint&,
+                                 nexus::util::UnpackBuffer&) {
+                               halted = true;
+                             });
+        Startpoint to0 = ctx.world_startpoint(0);
+        {
+          Startpoint back = ctx.startpoint_to(ctx.root_endpoint());
+          nexus::util::PackBuffer pb;
+          ctx.pack_startpoint(pb, back);
+          ctx.rsr(to0, "setup2", pb);
+        }
+        nexus::util::PackBuffer pb;
+        pb.put_bytes(data);
+        const Time t0 = ctx.now();
+        std::uint64_t rounds = 0;
+        while (!halted) {
+          ctx.rsr(to0, "ping2", pb);
+          ctx.wait_count(got, rounds + 1);
+          ++rounds;
+        }
+        result.tcp_one_way_us = nexus::simnet::to_us(ctx.now() - t0) /
+                                (2.0 * static_cast<double>(rounds));
+        ctx.rsr(to0, "stop");
+      }});
+  return result;
+}
+
 inline void print_header(const std::string& title) {
   std::printf("\n==============================================================\n");
   std::printf("%s\n", title.c_str());

@@ -15,127 +15,12 @@
 
 namespace {
 
-using namespace nexus;
-
-struct DualResult {
-  double mpl_one_way_us = 0.0;
-  double tcp_one_way_us = 0.0;
-};
-
-DualResult dual_pingpong(std::uint64_t skip, std::size_t payload,
-                         int mpl_rounds) {
-  RuntimeOptions opts;
-  // ctx0 and ctx1 share a partition (MPL pair); ctx2 sits in a second
-  // partition and can reach ctx0 only via TCP.
-  opts.topology = simnet::Topology::two_partitions(2, 1);
-  opts.modules = {"local", "mpl", "tcp"};
-  Runtime rt(opts);
-
-  DualResult result;
-  const util::Bytes data(payload, 0x7e);
-
-  rt.run(std::vector<std::function<void(Context&)>>{
-      // ctx0: the shared multimethod node; reflects both ping-pongs.
-      [&](Context& ctx) {
-        ctx.set_skip_poll("tcp", skip);
-        Startpoint reply1, reply2;
-        std::uint64_t stops = 0;
-        ctx.register_handler("setup1",
-                             [&](Context& c, Endpoint&,
-                                 util::UnpackBuffer& ub) {
-                               reply1 = c.unpack_startpoint(ub);
-                             });
-        ctx.register_handler("setup2",
-                             [&](Context& c, Endpoint&,
-                                 util::UnpackBuffer& ub) {
-                               reply2 = c.unpack_startpoint(ub);
-                             });
-        ctx.register_handler("ping1",
-                             [&](Context& c, Endpoint&,
-                                 util::UnpackBuffer& ub) {
-                               c.rsr(reply1, "pong", ub.get_bytes());
-                             });
-        ctx.register_handler("ping2",
-                             [&](Context& c, Endpoint&,
-                                 util::UnpackBuffer& ub) {
-                               c.rsr(reply2, "pong", ub.get_bytes());
-                             });
-        ctx.register_handler("stop",
-                             [&](Context&, Endpoint&, util::UnpackBuffer&) {
-                               ++stops;
-                             });
-        ctx.wait_count(stops, 2);
-      },
-      // ctx1: drives the MPL ping-pong for a fixed number of roundtrips.
-      [&](Context& ctx) {
-        ctx.set_skip_poll("tcp", skip);
-        std::uint64_t got = 0;
-        ctx.register_handler("pong",
-                             [&](Context&, Endpoint&, util::UnpackBuffer&) {
-                               ++got;
-                             });
-        Startpoint to0 = ctx.world_startpoint(0);
-        {
-          Startpoint back = ctx.startpoint_to(ctx.root_endpoint());
-          util::PackBuffer pb;
-          ctx.pack_startpoint(pb, back);
-          ctx.rsr(to0, "setup1", pb);
-        }
-        util::PackBuffer pb;
-        pb.put_bytes(data);
-        const Time t0 = ctx.now();
-        for (int r = 0; r < mpl_rounds; ++r) {
-          ctx.rsr(to0, "ping1", pb);
-          ctx.wait_count(got, static_cast<std::uint64_t>(r) + 1);
-        }
-        result.mpl_one_way_us =
-            simnet::to_us(ctx.now() - t0) / (2.0 * mpl_rounds);
-        Startpoint to2 = ctx.world_startpoint(2);
-        ctx.rsr(to2, "halt");
-        ctx.rsr(to0, "stop");
-      },
-      // ctx2: drives the TCP ping-pong until halted.
-      [&](Context& ctx) {
-        ctx.set_skip_poll("tcp", skip);
-        std::uint64_t got = 0;
-        bool halted = false;
-        ctx.register_handler("pong",
-                             [&](Context&, Endpoint&, util::UnpackBuffer&) {
-                               ++got;
-                             });
-        ctx.register_handler("halt",
-                             [&](Context&, Endpoint&, util::UnpackBuffer&) {
-                               halted = true;
-                             });
-        Startpoint to0 = ctx.world_startpoint(0);
-        {
-          Startpoint back = ctx.startpoint_to(ctx.root_endpoint());
-          util::PackBuffer pb;
-          ctx.pack_startpoint(pb, back);
-          ctx.rsr(to0, "setup2", pb);
-        }
-        util::PackBuffer pb;
-        pb.put_bytes(data);
-        const Time t0 = ctx.now();
-        std::uint64_t rounds = 0;
-        while (!halted) {
-          ctx.rsr(to0, "ping2", pb);
-          ctx.wait_count(got, rounds + 1);
-          ++rounds;
-        }
-        result.tcp_one_way_us =
-            simnet::to_us(ctx.now() - t0) / (2.0 * static_cast<double>(rounds));
-        ctx.rsr(to0, "stop");
-      }});
-  return result;
-}
-
 void run_sweep(std::size_t payload, int rounds) {
   std::printf("%10s %18s %18s\n", "skip_poll", "MPL one-way (us)",
               "TCP one-way (us)");
   for (std::uint64_t skip : {1ull, 2ull, 3ull, 5ull, 8ull, 12ull, 16ull,
                              20ull, 32ull, 50ull, 100ull}) {
-    DualResult r = dual_pingpong(skip, payload, rounds);
+    const bench::DualResult r = bench::dual_pingpong(skip, payload, rounds);
     std::printf("%10llu %18.1f %18.1f\n",
                 static_cast<unsigned long long>(skip), r.mpl_one_way_us,
                 r.tcp_one_way_us);
