@@ -330,25 +330,24 @@ void Context::refresh_link_degradation(Startpoint::Link& link,
 }
 
 void Context::evict_connection(Startpoint::Link& link) {
-  if (link.conn) {
+  if (const std::shared_ptr<CommObject> dead = link.conn) {
     // Purge every cache entry sharing the dead connection: the link-level
-    // cache, the (method, context) connection cache, and any forwarding
-    // routes that would keep resurrecting it.
+    // cache, the (method, context) connection cache, and any relay link that
+    // would keep resurrecting it.
     std::erase_if(connections_, [&](const auto& kv) {
-      return kv.second == link.conn;
+      return kv.second == dead;
     });
-    std::erase_if(forward_routes_, [&](const auto& kv) {
-      return kv.second == link.conn;
-    });
+    for (auto& [hop, relay] : relay_links_) {
+      if (relay.conn == dead) relay.clear_selection();
+    }
   }
-  link.conn.reset();
-  link.selected_method.clear();
-  link.degraded = false;
-  link.reprobe_at = 0;
+  link.clear_selection();
 }
 
-void Context::ensure_connection(const Startpoint& sp, Startpoint::Link& link,
-                                std::uint64_t payload_bytes) {
+bool Context::ensure_connection(Startpoint::Link& link,
+                                const std::string* forced,
+                                std::uint64_t payload_bytes,
+                                std::string& why) {
   if (adapt_enabled_) maybe_rerank(link);
   if (link.conn) {
     if (link.degraded && now() >= link.reprobe_at) {
@@ -356,11 +355,8 @@ void Context::ensure_connection(const Startpoint& sp, Startpoint::Link& link,
       // restored method can win the link back (the next send is its probe).
       // The existing connection stays in the cache -- if selection picks the
       // same method again, cached_connection returns it unchanged.
-      link.conn.reset();
-      link.selected_method.clear();
-      link.degraded = false;
-      link.reprobe_at = 0;
-    } else if (selector_->payload_aware() && !sp.forced_method()) {
+      link.clear_selection();
+    } else if (selector_->payload_aware() && forced == nullptr) {
       // Payload-aware policies re-decide per RSR: the selector's cached
       // per-(peer, class) decision makes this a cheap check, and the link
       // only swaps connections when the class winner actually differs.
@@ -369,7 +365,7 @@ void Context::ensure_connection(const Startpoint& sp, Startpoint::Link& link,
           selector_->select_sized(link.table, *this, payload_bytes, reason);
       if (idx) {
         const CommDescriptor& d = link.table.at(*idx);
-        if (d.method == link.selected_method) return;
+        if (d.method == link.selected_method) return true;
         link.conn = cached_connection(d);
         link.selected_method = d.method;
         refresh_link_degradation(link, *idx);
@@ -381,31 +377,31 @@ void Context::ensure_connection(const Startpoint& sp, Startpoint::Link& link,
           log_selection(SelectionRecord{link.context, d.method,
                                         std::move(reason), now()});
         }
-        return;
+        return true;
       }
       // Nothing usable right now (e.g. everything quarantined): fall
       // through to the cold path's quarantined_fallback handling.
       link.conn.reset();
       link.selected_method.clear();
     } else {
-      return;
+      return true;
     }
   }
   std::string reason;
   std::optional<std::size_t> idx;
-  if (sp.forced_method()) {
-    const std::string& method = *sp.forced_method();
-    idx = link.table.find(method);
+  if (forced != nullptr) {
+    idx = link.table.find(*forced);
     if (!idx) {
-      throw util::MethodError("forced method '" + method +
-                              "' is not in the link's descriptor table");
+      why = "forced method '" + *forced +
+            "' is not in the link's descriptor table";
+      return false;
     }
-    CommModule* m = module(method);
+    CommModule* m = module(*forced);
     if (m == nullptr || !m->applicable(link.table.at(*idx))) {
-      throw util::MethodError("forced method '" + method +
-                              "' is not applicable from context " +
-                              std::to_string(id_) + " to context " +
-                              std::to_string(link.context));
+      why = "forced method '" + *forced + "' is not applicable from context " +
+            std::to_string(id_) + " to context " +
+            std::to_string(link.context);
+      return false;
     }
     reason = "forced by application";
   } else {
@@ -419,9 +415,10 @@ void Context::ensure_connection(const Startpoint& sp, Startpoint::Link& link,
       }
     }
     if (!idx) {
-      throw util::MethodError(
-          "no applicable communication method from context " +
-          std::to_string(id_) + " to context " + std::to_string(link.context));
+      why = "no applicable communication method from context " +
+            std::to_string(id_) + " to context " +
+            std::to_string(link.context);
+      return false;
     }
   }
   const CommDescriptor& d = link.table.at(*idx);
@@ -434,18 +431,16 @@ void Context::ensure_connection(const Startpoint& sp, Startpoint::Link& link,
   }
   log_selection(SelectionRecord{link.context, d.method, std::move(reason),
                                 now()});
+  return true;
 }
 
-SendResult Context::send_on_link(Startpoint::Link& link, HandlerId h,
-                                 const util::SharedBytes& payload,
-                                 telemetry::SpanId span,
-                                 std::uint64_t trace) {
-  // The Packet is rebuilt per attempt (send() consumes it even on failure);
-  // construction is cheap and the payload buffer is aliased, never copied.
+Packet Context::outbound(ContextId dst, EndpointId endpoint, HandlerId h,
+                         const util::SharedBytes& payload,
+                         telemetry::SpanId span, std::uint64_t trace) {
   Packet pkt;
   pkt.src = id_;
-  pkt.dst = link.context;
-  pkt.endpoint = link.endpoint;
+  pkt.dst = dst;
+  pkt.endpoint = endpoint;
   pkt.handler = h;
   pkt.payload = payload;  // aliases the caller's buffer: two atomic ops
   pkt.span = span;
@@ -454,31 +449,45 @@ SendResult Context::send_on_link(Startpoint::Link& link, HandlerId h,
   if (adapt_enabled_) {
     // Piggyback any pending timing echo for this peer (docs §11): the
     // measurement the peer's model is waiting for rides home for free.
-    if (auto e = cost_model_->take_echo(link.context)) {
+    if (auto e = cost_model_->take_echo(dst)) {
       pkt.adapt_method = e->method;
       pkt.adapt_bytes = e->bytes;
       pkt.adapt_oneway = e->oneway_ns;
     }
   }
+  return pkt;
+}
 
-  clock_->advance(costs_.rsr_send_overhead);
-  pkt.sent_at = now();
-  CommModule& m = link.conn->module();
-  const SendResult r = m.send(*link.conn, std::move(pkt));
+bool Context::transmit(CommObject& conn, ContextId target, Packet pkt,
+                       telemetry::Phase phase, telemetry::SpanId parent,
+                       HealthTracker::FailAction& action) {
+  // Only the module is used after send(): a failure verdict may evict the
+  // last owner of `conn` (peer death drops a relay link's selection).
+  CommModule& m = conn.module();
+  const telemetry::SpanId span = pkt.span;
+  const std::uint64_t trace = pkt.trace;
+  const ContextId dst = pkt.dst;
+  const SendResult r = m.send(conn, std::move(pkt));
   m.counters().sends += 1;
   if (!r.ok()) {
     m.counters().send_errors += 1;
-    return r;
+    action = note_send_failure(intern_method(m.name()), target,
+                               m.trace_label(), r.status, span, trace);
+    return false;
   }
   m.counters().bytes_sent += r.wire;
   if (tele_->metrics().enabled() && m.metrics() != nullptr) {
     m.metrics()->send_bytes.add(r.wire);
   }
   if (observing()) {
-    observe({now(), span, id_, telemetry::Phase::Send, m.trace_label(),
-             r.wire, link.context, 0, trace});
+    observe({now(), span, id_, phase, m.trace_label(), r.wire, dst, parent,
+             trace});
   }
-  return r;
+  if (!health_.empty()) {
+    note_send_success(intern_method(m.name()), target, m.trace_label(), span,
+                      trace);
+  }
+  return true;
 }
 
 void Context::note_send_success(MethodId mid, ContextId target,
@@ -567,12 +576,15 @@ void Context::maybe_declare_peer_dead(ContextId target) {
   // Peer death is a flight-recorder dump trigger: the post-mortem should
   // show the failure cascade that killed every method.
   tele_->dump_flight("peer-death");
-  // Evict everything cached about the dead peer: connections, forwarding
-  // routes, and cost-model rows (measurements of its previous life would
-  // poison selection for its next incarnation).
+  // Evict everything cached about the dead peer: connections, the relay
+  // link's selection, and cost-model rows (measurements of its previous life
+  // would poison selection for its next incarnation).  The relay link is
+  // reset, not erased: this may run inside a relayed send over it.
   std::erase_if(connections_,
                 [target](const auto& kv) { return kv.first.second == target; });
-  forward_routes_.erase(target);
+  if (auto relay = relay_links_.find(target); relay != relay_links_.end()) {
+    relay->second.clear_selection();
+  }
   cost_model_->evict_peer(target);
 }
 
@@ -590,17 +602,19 @@ void Context::redeliver_deadletters(ContextId target) {
       continue;
     }
     --dl.budget;
-    Startpoint sp;
     Startpoint::Link link;
     link.context = dl.target;
     link.endpoint = dl.endpoint;
     link.table = runtime_->table_of(dl.target);
-    sp.links_.push_back(std::move(link));
     const bool obs = observing();
     const telemetry::SpanId span = obs ? next_span() : 0;
     const std::uint64_t trace = obs ? next_trace() : 0;
-    if (send_with_failover(sp, sp.links_[0], dl.handler, dl.payload, span,
-                           trace) == DeliveryStatus::Ok) {
+    std::string why;
+    if (send_with_failover(
+            link, outbound(dl.target, dl.endpoint, dl.handler, dl.payload,
+                           span, trace),
+            nullptr, failover_bound(link), costs_.rsr_send_overhead,
+            telemetry::Phase::Send, 0, why) == DeliveryStatus::Ok) {
       ++cmetrics_->deadletter_redeliveries;
     } else if (dl.budget == 0) {
       ++cmetrics_->deadletter_drops;
@@ -612,93 +626,57 @@ void Context::redeliver_deadletters(ContextId target) {
   }
 }
 
-DeliveryStatus Context::send_with_failover(Startpoint& sp,
-                                           Startpoint::Link& link, HandlerId h,
-                                           const util::SharedBytes& payload,
-                                           telemetry::SpanId span,
-                                           std::uint64_t trace) {
-  // Bounded by the worst case of every table entry walking through its full
-  // failure threshold plus a few restore probes; a healthy fabric exits on
-  // the first iteration.
-  const std::uint64_t max_attempts =
-      health_.params().fail_threshold * (link.table.size() + 1) + 8;
+DeliveryStatus Context::send_with_failover(
+    Startpoint::Link& link, const Packet& pkt, const std::string* forced,
+    std::uint64_t max_attempts, Time overhead, telemetry::Phase phase,
+    telemetry::SpanId parent, std::string& why) {
   std::uint64_t failures = 0;
   for (;;) {
-    ensure_connection(sp, link, payload.size());
-    const SendResult r = send_on_link(link, h, payload, span, trace);
-    if (r.ok()) {
-      if (!health_.empty()) {
-        note_send_success(intern_method(link.selected_method), link.context,
-                          link.conn->module().trace_label(), span, trace);
-      }
+    if (!ensure_connection(link, forced, pkt.payload.size(), why)) {
+      return DeliveryStatus::Dead;
+    }
+    const CommModule& m = link.conn->module();
+    // Each attempt copies the packet (a SharedBytes refcount bump, no byte
+    // copy) because send() consumes its argument even when delivery fails.
+    Packet attempt = pkt;
+    clock_->advance(overhead);
+    if (pkt.sent_at == 0) attempt.sent_at = now();
+    HealthTracker::FailAction action{};
+    if (transmit(*link.conn, link.context, std::move(attempt), phase, parent,
+                 action)) {
       if (failures > 0 && tele_->metrics().enabled()) {
         cmetrics_->rsr_retries.add(failures);
       }
       return DeliveryStatus::Ok;
     }
     ++failures;
-    const MethodId mid = intern_method(link.selected_method);
-    const HealthTracker::FailAction action = note_send_failure(
-        mid, link.context, link.conn->module().trace_label(), r.status, span,
-        trace);
     if (failures >= max_attempts) {
-      if (retry_budget_ > 0) {
-        // Dead-letter discipline (docs §14): hand the verdict back so the
-        // caller parks the RSR instead of retrying forever or throwing.
-        evict_connection(link);
-        return DeliveryStatus::Dead;
-      }
-      throw util::MethodError(
-          "rsr to context " + std::to_string(link.context) + " failed " +
-          std::to_string(failures) + " times across every applicable method");
+      why = "rsr to context " + std::to_string(link.context) + " failed " +
+            std::to_string(failures) + " times across every applicable method";
+      evict_connection(link);
+      return DeliveryStatus::Transient;
     }
-    if (sp.forced_method()) {
+    if (forced != nullptr) {
       if (action == HealthTracker::FailAction::Failover) {
-        throw util::MethodError(
-            "forced method '" + *sp.forced_method() + "' to context " +
-            std::to_string(link.context) +
-            " was declared dead (failover is disabled while a method is "
-            "forced)");
+        why = "forced method '" + *forced + "' to context " +
+              std::to_string(link.context) +
+              " was declared dead (failover is disabled while a method is "
+              "forced)";
+        return DeliveryStatus::Dead;
       }
       continue;  // transient: retry the forced method
     }
     if (action == HealthTracker::FailAction::Retry) continue;
     // Failover: drop the dead connection and let selection pick the next
     // applicable method (the health gate now excludes the quarantined one).
-    log_selection(SelectionRecord{
-        link.context, link.selected_method,
-        "failover: method declared dead after " +
-            std::to_string(health_.status(mid, link.context, now()).failures) +
-            " failures",
-        now()});
+    const auto failed =
+        health_.status(intern_method(m.name()), link.context, now()).failures;
+    log_selection(SelectionRecord{link.context, std::string(m.name()),
+                                  "failover: method declared dead after " +
+                                      std::to_string(failed) + " failures",
+                                  now()});
     evict_connection(link);
   }
-}
-
-bool Context::try_send_once(Startpoint& sp, Startpoint::Link& link,
-                            HandlerId h, const util::SharedBytes& payload,
-                            telemetry::SpanId span, std::uint64_t trace) {
-  // One bounded attempt toward a declared-dead peer: the rebirth probe.
-  // Selection may throw (e.g. everything still quarantined with no
-  // fallback); that is just "still dead" here, never an RSR failure.
-  try {
-    ensure_connection(sp, link, payload.size());
-  } catch (const util::MethodError&) {
-    return false;
-  }
-  const SendResult r = send_on_link(link, h, payload, span, trace);
-  const MethodId mid = intern_method(link.selected_method);
-  const std::uint16_t label = link.conn->module().trace_label();
-  if (r.ok()) {
-    // Runs the restore path, which un-declares the peer and drains its
-    // dead letters (this RSR itself was already delivered, so it is NOT
-    // in the queue -- no duplicate delivery).
-    note_send_success(mid, link.context, label, span, trace);
-    return true;
-  }
-  note_send_failure(mid, link.context, label, r.status, span, trace);
-  evict_connection(link);
-  return false;
 }
 
 void Context::deadletter(const Startpoint::Link& link, HandlerId h,
@@ -754,7 +732,10 @@ DeliveryStatus Context::rsr_impl(Startpoint& sp, HandlerId handler,
   const telemetry::SpanId span = obs ? next_span() : 0;
   const std::uint64_t trace =
       trace_override != 0 ? trace_override : (obs ? next_trace() : 0);
+  const std::string* forced =
+      sp.forced_method() ? &*sp.forced_method() : nullptr;
   DeliveryStatus worst = DeliveryStatus::Ok;
+  std::string why;
   for (auto& link : sp.links_) {
     // Unknown / never-registered target: report Dead instead of throwing
     // from deep inside the descriptor registry (group pseudo-contexts at or
@@ -764,20 +745,25 @@ DeliveryStatus Context::rsr_impl(Startpoint& sp, HandlerId handler,
       worst = DeliveryStatus::Dead;
       continue;
     }
-    if (retry_budget_ > 0 && is_peer_dead(link.context)) {
-      // Dead peer: one probe attempt with the real payload.  Success runs
-      // the rebirth path (and this RSR is delivered); failure parks it.
-      if (!try_send_once(sp, link, handler, payload, span, trace)) {
-        deadletter(link, handler, payload, span, trace);
-        if (worst == DeliveryStatus::Ok) worst = DeliveryStatus::Transient;
-      }
-      continue;
+    // A declared-dead peer gets one attempt with the real payload: the
+    // rebirth probe.  Success runs the rebirth path (and this RSR is
+    // delivered); failure just means "still dead" and parks the RSR.
+    const bool rebirth_probe =
+        retry_budget_ > 0 && is_peer_dead(link.context);
+    const DeliveryStatus s = send_with_failover(
+        link, outbound(link.context, link.endpoint, handler, payload, span,
+                       trace),
+        forced, rebirth_probe ? 1 : failover_bound(link),
+        costs_.rsr_send_overhead, telemetry::Phase::Send, 0, why);
+    if (s == DeliveryStatus::Ok) continue;
+    // An unroutable RSR throws; so does an exhausted one without a
+    // dead-letter budget (the pre-robustness contract every existing caller
+    // relies on).  With a budget (docs §14) it is parked instead.
+    if (!rebirth_probe && (s == DeliveryStatus::Dead || retry_budget_ == 0)) {
+      throw util::MethodError(why);
     }
-    if (send_with_failover(sp, link, handler, payload, span, trace) !=
-        DeliveryStatus::Ok) {
-      deadletter(link, handler, payload, span, trace);
-      if (worst == DeliveryStatus::Ok) worst = DeliveryStatus::Transient;
-    }
+    deadletter(link, handler, payload, span, trace);
+    if (worst == DeliveryStatus::Ok) worst = DeliveryStatus::Transient;
   }
   // Paper §3.3: the polling function is called at least every time a Nexus
   // operation is performed.
@@ -847,7 +833,7 @@ void Context::wipe_comm_state(Time cutoff) {
     for (auto& [name, box] : f->host(id_).boxes) box.purge_before(cutoff);
   }
   connections_.clear();
-  forward_routes_.clear();
+  relay_links_.clear();
   // Fresh health history (the old incarnation's quarantines died with it),
   // on a jitter stream that differs per incarnation so reborn probers do
   // not replay their previous life's schedule.
@@ -869,9 +855,9 @@ void Context::drain_forwarding(ContextId sibling) {
   }
   draining_ = true;
   drain_sibling_ = sibling;
-  // Cached routes send directly; drop them so every relayed packet from
-  // here on is re-routed via the sibling.
-  forward_routes_.clear();
+  // Relay links send directly; drop them so every relayed packet from here
+  // on is re-routed via the sibling.
+  relay_links_.clear();
   // Flush everything already in our mailboxes before the caller kills us.
   while (engine_->poll_once()) {
   }
@@ -1014,7 +1000,7 @@ void Context::forward(Packet pkt) {
   // sender-side protocol error, and the *sender's* detectors (deadlines,
   // peer death) report the loss.  Mirrors the unknown-handler contract in
   // deliver().
-  auto drop_relayed = [&](const char* why) {
+  auto drop_relayed = [&](const std::string& why) {
     ++cmetrics_->send_errors;
     if (observing()) {
       observe({now(), pkt.span, id_, telemetry::Phase::Drop, 0,
@@ -1029,104 +1015,42 @@ void Context::forward(Packet pkt) {
     return;
   }
   clock_->advance(costs_.dispatch_overhead);
-  // Steady-state forwarding resolves the route (selection + connection)
-  // once per destination; the cache is invalidated whenever the selection
-  // policy or poll configuration changes, and evicted on failover.
-  //
   // Causal tracing: each forwarding hop is a child span of the span the
   // packet arrived with, so a stitched trace shows the chain
   // root -> hop1 -> hop2 -> dispatch.  The packet is restamped with the
   // child span before re-sending; the trace id rides along unchanged.
   const telemetry::SpanId parent = pkt.span;
-  const std::uint64_t trace = pkt.trace;
-  const bool obs = observing() && parent != 0;
-  const telemetry::SpanId span = obs ? next_span() : parent;
-  pkt.span = span;
-  const ContextId dst = pkt.dst;
+  if (observing() && parent != 0) pkt.span = next_span();
   // A draining forwarder hands its relay duty to the sibling: the packet's
   // next hop becomes the sibling (pkt.dst is untouched, so the sibling
   // forwards it onward; kMaxForwardHops bounds any mis-configured loop).
   const ContextId via = (draining_ && drain_sibling_ != kNoContext &&
-                         drain_sibling_ != dst && drain_sibling_ != id_)
+                         drain_sibling_ != pkt.dst && drain_sibling_ != id_)
                             ? drain_sibling_
-                            : dst;
-  const DescriptorTable& full = runtime_->table_of(via);
-  const std::uint64_t max_attempts =
-      health_.params().fail_threshold * (full.size() + 1) + 8;
-  // Descriptors that land back on this relay (the destination's tcp-class
-  // entry names its partition forwarder -- us) are excluded from relay
-  // selection: when the direct methods die, failover must not pick the
-  // route through ourselves and ping-pong the packet into the hop bound.
-  std::optional<DescriptorTable> filtered;
-  auto relay_table = [&]() -> const DescriptorTable& {
-    if (!filtered) {
-      std::vector<CommDescriptor> usable;
-      for (const CommDescriptor& d : full.entries()) {
-        CommModule* m = module(d.method);
-        if (m != nullptr && m->landing_context(d) == id_) continue;
-        usable.push_back(d);
-      }
-      filtered.emplace(std::move(usable));
+                            : pkt.dst;
+  // The relay link to the next hop leaves out descriptors that land back on
+  // this relay (the destination's tcp-class entry names its partition
+  // forwarder -- us): when the direct methods die, failover must not pick
+  // the route through ourselves and ping-pong the packet into the hop bound.
+  auto [it, fresh] = relay_links_.try_emplace(via);
+  Startpoint::Link& link = it->second;
+  if (fresh) {
+    std::vector<CommDescriptor> usable;
+    for (const CommDescriptor& d : runtime_->table_of(via).entries()) {
+      CommModule* m = module(d.method);
+      if (m == nullptr || m->landing_context(d) != id_) usable.push_back(d);
     }
-    return *filtered;
-  };
-  std::uint64_t failures = 0;
-  for (;;) {
-    std::shared_ptr<CommObject> conn;
-    if (auto cached = forward_routes_.find(via);
-        cached != forward_routes_.end()) {
-      conn = cached->second;
-    } else {
-      const DescriptorTable& table = relay_table();
-      std::string reason;
-      auto idx = selector_->select(table, *this, reason);
-      if (!idx) idx = quarantined_fallback(table);
-      if (!idx) {
-        drop_relayed("no applicable relay method");
-        return;
-      }
-      conn = cached_connection(table.at(*idx));
-      forward_routes_.emplace(via, conn);
-    }
-    CommModule& m = conn->module();
-    // Each attempt copies the packet (a SharedBytes refcount bump, no byte
-    // copy) because send() consumes its argument even when delivery fails.
-    Packet attempt = pkt;
-    const SendResult r = m.send(*conn, std::move(attempt));
-    m.counters().sends += 1;
-    if (r.ok()) {
-      m.counters().bytes_sent += r.wire;
-      if (!health_.empty()) {
-        note_send_success(intern_method(m.name()), via, m.trace_label(), span,
-                          trace);
-      }
-      if (tele_->metrics().enabled() && m.metrics() != nullptr) {
-        m.metrics()->send_bytes.add(r.wire);
-      }
-      if (observing()) {
-        observe({now(), span, id_, telemetry::Phase::Forward, m.trace_label(),
-                 r.wire, dst, parent, trace});
-      }
-      return;
-    }
-    m.counters().send_errors += 1;
-    ++failures;
-    const HealthTracker::FailAction action = note_send_failure(
-        intern_method(m.name()), via, m.trace_label(), r.status, span, trace);
-    if (failures >= max_attempts) {
-      drop_relayed("every relay method exhausted");
-      return;
-    }
-    if (action == HealthTracker::FailAction::Failover) {
-      // Evict the dead route and connection; the next iteration re-selects
-      // with the quarantined method excluded by the health gate.
-      std::erase_if(connections_, [&](const auto& kv) {
-        return kv.second == conn;
-      });
-      std::erase_if(forward_routes_, [&](const auto& kv) {
-        return kv.second == conn;
-      });
-    }
+    link.context = via;
+    link.table = DescriptorTable(std::move(usable));
+  }
+  // The packet keeps its sender's src, sent_at, incarnation and timing echo:
+  // deliver() credits them to the original sender.  A relay charges no
+  // rsr_send_overhead.
+  std::string why;
+  if (send_with_failover(link, pkt, nullptr, failover_bound(link), 0,
+                         telemetry::Phase::Forward, parent,
+                         why) != DeliveryStatus::Ok) {
+    drop_relayed(why);
   }
 }
 
@@ -1141,7 +1065,7 @@ std::uint64_t Context::skip_poll(std::string_view method) const {
 
 void Context::set_poll_enabled(std::string_view method, bool enabled) {
   engine_->set_enabled(method, enabled);
-  forward_routes_.clear();
+  relay_links_.clear();
   update_interference();
 }
 
@@ -1184,7 +1108,7 @@ void Context::set_blocking_poller(std::string_view method, bool on) {
 void Context::set_selector(std::unique_ptr<MethodSelector> selector) {
   if (!selector) throw util::UsageError("set_selector: null selector");
   selector_ = std::move(selector);
-  forward_routes_.clear();
+  relay_links_.clear();
   // A payload-aware policy is useless without measurements to act on, so
   // installing one switches the adaptive plumbing on.
   if (selector_->payload_aware()) adapt_enabled_ = true;
@@ -1211,44 +1135,20 @@ void Context::probe_method(const CommDescriptor& d) {
   if (d.context == id_ || d.context >= world_size()) return;
   CommModule* m = module(d.method);
   if (m == nullptr || !m->applicable(d)) return;
-  auto conn = cached_connection(d);
   util::PackBuffer pb;
   pb.put_u32(id_);
-  Packet pkt;
-  pkt.src = id_;
-  pkt.dst = d.context;
-  pkt.endpoint = kRootEndpointId;
-  pkt.handler = resolve_handler("adapt.probe");
-  pkt.payload = util::SharedBytes::copy_of(pb.bytes());
-  if (auto e = cost_model_->take_echo(d.context)) {
-    pkt.adapt_method = e->method;
-    pkt.adapt_bytes = e->bytes;
-    pkt.adapt_oneway = e->oneway_ns;
-  }
+  Packet pkt = outbound(d.context, kRootEndpointId,
+                        resolve_handler("adapt.probe"),
+                        util::SharedBytes::copy_of(pb.bytes()), 0, 0);
   clock_->advance(costs_.rsr_send_overhead);
   pkt.sent_at = now();
-  const SendResult r = m->send(*conn, std::move(pkt));
-  m->counters().sends += 1;
   ++cmetrics_->adapt_probes;
-  if (observing()) {
-    observe({now(), 0, id_, telemetry::Phase::AdaptProbe, m->trace_label(),
-             r.wire, d.context});
-  }
-  if (r.ok()) {
-    m->counters().bytes_sent += r.wire;
-    if (!health_.empty()) {
-      note_send_success(intern_method(d.method), d.context, m->trace_label());
-    }
-  } else {
-    m->counters().send_errors += 1;
-    if (!health_.empty()) {
-      // A failed probe is a real delivery failure: it walks the method
-      // towards quarantine exactly like an application send would, which
-      // is what keeps a dead method from being re-probed at full rate.
-      note_send_failure(intern_method(d.method), d.context, m->trace_label(),
-                        r.status);
-    }
-  }
+  // A failed probe is a real delivery failure: it walks the method towards
+  // quarantine exactly like an application send would, which is what keeps
+  // a dead method from being re-probed at full rate.
+  HealthTracker::FailAction action{};
+  transmit(*cached_connection(d), d.context, std::move(pkt),
+           telemetry::Phase::AdaptProbe, 0, action);
 }
 
 bool Context::rerank_link(Startpoint::Link& link) {
@@ -1262,10 +1162,7 @@ bool Context::rerank_link(Startpoint::Link& link) {
   // The order change invalidates this link's cached selection; the global
   // connection cache keeps the objects, so re-selecting the same method is
   // free.
-  link.conn.reset();
-  link.selected_method.clear();
-  link.degraded = false;
-  link.reprobe_at = 0;
+  link.clear_selection();
   if (observing()) {
     observe({now(), 0, id_, telemetry::Phase::AdaptRerank, 0,
              link.table.size(), link.context});

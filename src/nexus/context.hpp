@@ -331,10 +331,12 @@ class Context {
   DeliveryStatus rsr_impl(Startpoint& sp, HandlerId handler,
                           util::SharedBytes payload,
                           std::uint64_t trace_override);
-  void dispatch_local(Packet pkt);
   void forward(Packet pkt);
-  void ensure_connection(const Startpoint& sp, Startpoint::Link& link,
-                         std::uint64_t payload_bytes);
+  /// Select (or keep) `link`'s connection.  `forced` names a method the
+  /// application forced (null: the active policy decides).  Returns false,
+  /// with the reason in `why`, when no method can be selected.
+  bool ensure_connection(Startpoint::Link& link, const std::string* forced,
+                         std::uint64_t payload_bytes, std::string& why);
   /// Periodic adaptive rerank of one link's table (docs §11); cheap check
   /// against Link::rerank_at when due in the future.
   void maybe_rerank(Startpoint::Link& link);
@@ -343,20 +345,40 @@ class Context {
   void register_adapt_handlers();
   std::shared_ptr<CommObject> cached_connection(const CommDescriptor& d);
   MethodId intern_method(std::string_view name);
-  SendResult send_on_link(Startpoint::Link& link, HandlerId h,
-                          const util::SharedBytes& payload,
-                          telemetry::SpanId span, std::uint64_t trace);
-  /// The failover loop around one link's send: feed outcomes to the health
-  /// tracker, retry transient failures, evict + re-select dead methods.
-  /// Returns Ok on delivery.  When the attempt bound is exhausted: with a
-  /// dead-letter budget configured (robust.retry_budget > 0) returns Dead so
-  /// the caller can deadletter the RSR; otherwise throws MethodError (the
-  /// pre-robustness contract every existing caller relies on).
-  DeliveryStatus send_with_failover(Startpoint& sp, Startpoint::Link& link,
-                                    HandlerId h,
-                                    const util::SharedBytes& payload,
-                                    telemetry::SpanId span,
-                                    std::uint64_t trace);
+  /// A packet originating here for (`dst`, `endpoint`), carrying any timing
+  /// echo pending for `dst` (docs §11).
+  Packet outbound(ContextId dst, EndpointId endpoint, HandlerId h,
+                  const util::SharedBytes& payload, telemetry::SpanId span,
+                  std::uint64_t trace);
+  /// The one call site of CommModule::send: ship `pkt` over `conn`, update
+  /// the method's counters and send_bytes histogram, feed the health
+  /// tracker's (method, `target`) entry, and record a `phase` event on
+  /// delivery.  Returns whether the method accepted the packet; on failure
+  /// `action` holds the health tracker's verdict.
+  bool transmit(CommObject& conn, ContextId target, Packet pkt,
+                telemetry::Phase phase, telemetry::SpanId parent,
+                HealthTracker::FailAction& action);
+  /// The send loop every link shares -- RSR links, relay links, rebirth
+  /// probes and dead-letter redelivery: select, transmit, retry transient
+  /// failures, evict + re-select dead methods, for at most `max_attempts`
+  /// sends.  Each attempt charges `overhead` and sends a copy of `pkt`,
+  /// stamped with the send time unless it carries one already (a relayed
+  /// packet keeps its sender's).  Returns Ok on delivery; Transient when the
+  /// attempts ran out (the connection is evicted); Dead when no method can
+  /// be selected or a forced method was declared dead.  On failure `why`
+  /// says what went wrong.
+  DeliveryStatus send_with_failover(Startpoint::Link& link, const Packet& pkt,
+                                    const std::string* forced,
+                                    std::uint64_t max_attempts, Time overhead,
+                                    telemetry::Phase phase,
+                                    telemetry::SpanId parent,
+                                    std::string& why);
+  /// Attempt bound of a full failover walk over `link`'s table: every entry
+  /// through its failure threshold, plus a few restore probes.  A healthy
+  /// fabric exits on the first attempt.
+  std::uint64_t failover_bound(const Startpoint::Link& link) const {
+    return health_.params().fail_threshold * (link.table.size() + 1) + 8;
+  }
   /// Drop a link's cached connection (and every cache entry sharing it) so
   /// the next attempt re-runs selection.
   void evict_connection(Startpoint::Link& link);
@@ -372,8 +394,8 @@ class Context {
   std::optional<std::size_t> quarantined_fallback(const DescriptorTable& table);
   /// Recompute Link::degraded/reprobe_at after a selection won at `winner`.
   void refresh_link_degradation(Startpoint::Link& link, std::size_t winner);
-  /// Health-tracker bookkeeping shared by the rsr and forwarding send paths.
-  /// Returns the action to take; updates telemetry counters and traces.
+  /// Health-tracker bookkeeping of transmit().  Returns the action to take;
+  /// updates telemetry counters and traces.
   HealthTracker::FailAction note_send_failure(MethodId mid, ContextId target,
                                               std::uint16_t trace_label,
                                               DeliveryStatus status,
@@ -403,12 +425,6 @@ class Context {
   void deadletter(const Startpoint::Link& link, HandlerId h,
                   const util::SharedBytes& payload, telemetry::SpanId span,
                   std::uint64_t trace);
-  /// Single bounded send attempt toward a declared-dead peer (the rebirth
-  /// probe).  Success runs the normal restore path, which un-declares the
-  /// peer and drains its dead letters; returns whether the send succeeded.
-  bool try_send_once(Startpoint& sp, Startpoint::Link& link, HandlerId h,
-                     const util::SharedBytes& payload, telemetry::SpanId span,
-                     std::uint64_t trace);
   /// After a Failover verdict: if every applicable method to `target` has
   /// been raw-Dead past the grace period, declare the peer down and evict
   /// everything cached about it.
@@ -435,10 +451,11 @@ class Context {
   std::map<std::string, MethodId, std::less<>> method_ids_;
   std::map<std::pair<MethodId, ContextId>, std::shared_ptr<CommObject>>
       connections_;
-  /// Steady-state forwarding route per final destination: selection and
-  /// connection lookup run once per destination, not once per packet.
-  /// Invalidated when the selection policy or poll configuration changes.
-  std::map<ContextId, std::shared_ptr<CommObject>> forward_routes_;
+  /// Relay links of this context as a forwarding node, keyed by next hop.
+  /// Each holds the hop's descriptor table minus the entries that land back
+  /// here, and selects, fails over and restores like an RSR link.  Cleared
+  /// when the selection policy or poll configuration changes.
+  std::map<ContextId, Startpoint::Link> relay_links_;
   HealthTracker health_;
   std::deque<SelectionRecord> selection_log_;
   DescriptorTable local_table_;

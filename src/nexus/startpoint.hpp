@@ -44,6 +44,14 @@ class Startpoint {
     /// Adaptive engine: next virtual time this link's table is due for a
     /// cost-model rerank (0 = rerank on first use when the engine is on).
     Time rerank_at = 0;
+
+    /// Drop the cached selection so the next send re-runs method selection.
+    void clear_selection() {
+      conn.reset();
+      selected_method.clear();
+      degraded = false;
+      reprobe_at = 0;
+    }
   };
 
   Startpoint() = default;
@@ -72,12 +80,7 @@ class Startpoint {
   /// Drop cached connections so the next RSR re-runs method selection
   /// (required after editing a link's descriptor table).
   void invalidate_selection() {
-    for (auto& l : links_) {
-      l.conn.reset();
-      l.selected_method.clear();
-      l.degraded = false;
-      l.reprobe_at = 0;
-    }
+    for (auto& l : links_) l.clear_selection();
   }
 
   /// Enquiry: the method currently selected for link `i` (empty until the

@@ -282,4 +282,135 @@ TEST(Failover, AllMethodsQuarantinedProbesAndRecovers) {
   EXPECT_EQ(done, 1u);
 }
 
+// ------------------------------------------------------------ forwarding ---
+// Relayed traffic (paper §3.3): partitions {0,1} and {2,3}, with context 2
+// forwarding for partition 1.  Context 0's RSRs to context 3 cross on tcp,
+// land at context 2, and are re-sent over its best local method.
+
+/// The relay world over `modules`, on one scheduler shard: the fault windows
+/// and the backoff assume one virtual clock (docs/ARCHITECTURE.md §13.4).
+RuntimeOptions relay_opts(std::vector<std::string> modules) {
+  RuntimeOptions opts = nexus::testing::chaos_opts(
+      std::move(modules), simnet::Topology::two_partitions(2, 2));
+  opts.forwarders[1] = 2;
+  opts.threads = 1;
+  return opts;
+}
+
+/// Context 0 of the relay world: `count` sequence-numbered RSRs to context
+/// 3, one every 2 ms, then a "stop" to the forwarder (tcp lands on it).
+void relay_source(Context& ctx, int count) {
+  Startpoint to3 = ctx.world_startpoint(3);
+  send_stream(ctx, to3, count, 2 * kMs);
+  Startpoint to2 = ctx.world_startpoint(2);
+  ctx.rsr(to2, "stop");
+}
+
+/// Context 2 of the relay world: serves relays until context 0's "stop".
+void relay_forwarder(Context& ctx) {
+  std::uint64_t stop = 0;
+  nexus::testing::register_counter(ctx, "stop", stop);
+  ctx.wait_count(stop, 1);
+}
+
+/// Forward events the forwarder recorded over `method` after `after`.
+std::size_t relays_on(Runtime& rt, std::string_view method, Time after) {
+  const telemetry::Tracer& tracer = rt.telemetry().tracer();
+  std::size_t n = 0;
+  for (const auto& ev : tracer.events()) {
+    if (ev.phase == telemetry::Phase::Forward && ev.context == 2 &&
+        ev.when > after && tracer.label_name(ev.label) == method) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(Forwarding, RelayReturnsToPreferredMethodAfterOutage) {
+  // docs/ARCHITECTURE.md §9.4: a link that failed over returns to the faster
+  // method once its quarantine expires, and a relay is such a link.
+  // myrinet is blackholed for [20ms, 60ms); the relay fails over to mpl and
+  // must be back on myrinet well before the stream ends at ~200ms.
+  RuntimeOptions opts = relay_opts({"local", "myrinet", "mpl", "tcp"});
+  opts.faults.blackhole("myrinet", 20 * kMs, 60 * kMs);
+  Runtime rt(opts);
+  rt.telemetry().tracer().enable();
+  constexpr int kMsgs = 100;
+  std::map<std::uint64_t, int> per_seq;
+  std::uint64_t total = 0;
+  nexus::testing::run_mpmd(
+      rt, {[&](Context& ctx) { relay_source(ctx, kMsgs); },
+           [](Context&) {}, relay_forwarder,
+           [&](Context& ctx) { recv_stream(ctx, per_seq, total, kMsgs); }});
+  ASSERT_EQ(total, static_cast<std::uint64_t>(kMsgs));
+  for (int i = 0; i < kMsgs; ++i) {
+    EXPECT_EQ(per_seq[static_cast<std::uint64_t>(i)], 1);
+  }
+  EXPECT_GE(relays_on(rt, "mpl", 0), 1u);  // the outage moved the relay
+  EXPECT_GE(relays_on(rt, "myrinet", 120 * kMs), 1u);  // and it came back
+}
+
+TEST(Forwarding, RelayFailsOverMidStreamExactlyOnce) {
+  // The relay's preferred method dies for good mid-stream: every relayed
+  // RSR still arrives exactly once, over the next method in the relay table.
+  RuntimeOptions opts = relay_opts({"local", "myrinet", "mpl", "tcp"});
+  opts.faults.blackhole("myrinet", /*from=*/20 * kMs);
+  Runtime rt(opts);
+  rt.telemetry().tracer().enable();
+  constexpr int kMsgs = 60;
+  std::map<std::uint64_t, int> per_seq;
+  std::uint64_t total = 0;
+  nexus::testing::run_mpmd(
+      rt, {[&](Context& ctx) { relay_source(ctx, kMsgs); },
+           [](Context&) {},
+           [&](Context& ctx) {
+             relay_forwarder(ctx);
+             EXPECT_GT(ctx.method_counters("myrinet").send_errors, 0u);
+             EXPECT_GE(ctx.method_health("myrinet", 3).failovers, 1u);
+           },
+           [&](Context& ctx) { recv_stream(ctx, per_seq, total, kMsgs); }});
+  ASSERT_EQ(total, static_cast<std::uint64_t>(kMsgs));
+  for (int i = 0; i < kMsgs; ++i) {
+    EXPECT_EQ(per_seq[static_cast<std::uint64_t>(i)], 1)
+        << "sequence " << i << " not delivered exactly once";
+  }
+  EXPECT_GE(relays_on(rt, "myrinet", 0), 1u);
+  EXPECT_EQ(relays_on(rt, "myrinet", 20 * kMs), 0u);
+  EXPECT_GE(relays_on(rt, "mpl", 20 * kMs), 1u);
+}
+
+TEST(Forwarding, RelayDropsWhenEveryMethodIsDead) {
+  // Every method in the relay table is dead: mpl is blackholed, and tcp is
+  // excluded because it lands back on the forwarder itself.  The forwarder
+  // must neither throw nor stop: each relayed RSR is dropped, counted in
+  // send_errors and recorded as a Drop, and the forwarder goes on serving.
+  RuntimeOptions opts = relay_opts({"local", "mpl", "tcp"});
+  opts.faults.blackhole("mpl", 0);
+  Runtime rt(opts);
+  rt.telemetry().tracer().enable();
+  constexpr int kMsgs = 10;
+  bool served_stop = false;
+  nexus::testing::run_mpmd(rt, {[&](Context& ctx) { relay_source(ctx, kMsgs); },
+                                [](Context&) {},
+                                [&](Context& ctx) {
+                                  relay_forwarder(ctx);
+                                  served_stop = true;
+                                },
+                                [](Context&) {}});
+  EXPECT_TRUE(served_stop);
+  EXPECT_EQ(rt.telemetry().metrics().context(2).send_errors,
+            static_cast<std::uint64_t>(kMsgs));
+  // One Drop per relayed RSR from the forwarder itself.  Its record carries
+  // no method label; the fabric's per-attempt blackhole drops do.
+  std::size_t relay_drops = 0;
+  for (const auto& ev : rt.telemetry().tracer().events()) {
+    if (ev.phase == telemetry::Phase::Drop && ev.context == 2 &&
+        ev.label == 0) {
+      ++relay_drops;
+    }
+  }
+  EXPECT_EQ(relay_drops, static_cast<std::size_t>(kMsgs));
+  EXPECT_EQ(relays_on(rt, "mpl", 0), 0u);
+}
+
 }  // namespace
