@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "proto/sim_modules.hpp"
+#include "proto/methods.hpp"
 #include "simnet/topology.hpp"
 
 // ----------------------------------------------------------------------

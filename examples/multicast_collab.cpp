@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "nexus/runtime.hpp"
-#include "proto/sim_modules.hpp"
+#include "proto/methods.hpp"
 
 using namespace nexus;
 

@@ -830,7 +830,7 @@ void Context::wipe_comm_state(Time cutoff) {
   if (SimFabric* f = runtime_->sim()) {
     // A crashed process's sockets are gone: drop everything that arrived
     // (or will arrive) before the restart instant.
-    for (auto& [name, box] : f->host(id_).boxes) box.purge_before(cutoff);
+    for (auto& [name, in] : f->host(id_).boxes) in.box.purge_before(cutoff);
   }
   connections_.clear();
   relay_links_.clear();
@@ -899,7 +899,18 @@ Startpoint Context::unpack_startpoint(util::UnpackBuffer& ub) const {
 }
 
 void Context::wait_count(const std::uint64_t& counter, std::uint64_t target) {
-  engine_->wait([&] { return counter >= target; });
+  if (!rt_mutex_) {
+    // Two captures fit std::function's inline buffer: no allocation.
+    engine_->wait([&] { return counter >= target; });
+    return;
+  }
+  // Realtime handlers bump the counter under rt_mutex_, possibly on a
+  // blocking-poller thread, so the predicate reads it under the same lock.
+  std::recursive_mutex& mutex = *rt_mutex_;
+  engine_->wait([&] {
+    std::lock_guard<std::recursive_mutex> lock(mutex);
+    return counter >= target;
+  });
 }
 
 void Context::deliver(Packet pkt, CommModule* via) {

@@ -104,12 +104,13 @@ class CommModule {
   virtual std::optional<Packet> poll() = 0;
 
   /// Virtual cost of one poll of this method (e.g. 15 us for an MPL probe,
-  /// 100+ us for a TCP select).  Realtime modules report 0 and pay the cost
-  /// for real.
+  /// 100+ us for a TCP select).  On the realtime fabric modules report 0
+  /// and pay the cost for real.
   virtual Time poll_cost() const = 0;
 
   /// Earliest arrival time of any queued-but-future message, if the module
-  /// can know it (simulated modules can; realtime ones return nullopt).
+  /// can know it (on the simulated fabric; the realtime one returns
+  /// nullopt).
   /// Lets the polling engine fast-forward idle waits in virtual time.
   virtual std::optional<Time> earliest_arrival() const = 0;
 

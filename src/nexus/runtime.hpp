@@ -144,6 +144,10 @@ class Runtime {
 
   SimFabric* sim() noexcept { return sim_.get(); }
   RtFabric* rt() noexcept { return rt_.get(); }
+  /// Whichever of the two the runtime was built on: what modules send over.
+  Fabric& fabric() noexcept {
+    return sim_ ? static_cast<Fabric&>(*sim_) : *rt_;
+  }
 
   /// The observability bundle: span tracer + metrics registry, shared by
   /// every context of this runtime.

@@ -1,81 +1,47 @@
 #include "proto/register.hpp"
 
 #include "nexus/context.hpp"
+#include "proto/methods.hpp"
 #include "proto/reliable.hpp"
-#include "proto/rt_modules.hpp"
-#include "proto/sim_modules.hpp"
 #include "proto/stream.hpp"
 #include "util/error.hpp"
 
 namespace nexus::proto {
 
 namespace {
-bool simulated(Context& ctx) { return ctx.clock().simulated(); }
+template <typename M>
+ModuleRegistry::Factory any_fabric() {
+  return [](Context& ctx) -> std::unique_ptr<CommModule> {
+    return std::make_unique<M>(ctx);
+  };
+}
 
-template <typename SimT>
+/// Methods whose only content beyond tcp is a modelled cost, which the
+/// realtime fabric does not have.
+template <typename M>
 ModuleRegistry::Factory sim_only(const char* name) {
   return [name](Context& ctx) -> std::unique_ptr<CommModule> {
-    if (!simulated(ctx)) {
+    if (!ctx.runtime().fabric().simulated()) {
       throw util::MethodError(std::string("method '") + name +
                               "' is only available on the simulated fabric");
     }
-    return std::make_unique<SimT>(ctx);
+    return std::make_unique<M>(ctx);
   };
 }
 }  // namespace
 
 void register_builtin_modules(ModuleRegistry& registry) {
-  registry.register_factory("local", [](Context& ctx)
-                                         -> std::unique_ptr<CommModule> {
-    if (simulated(ctx)) return std::make_unique<LocalSimModule>(ctx);
-    return std::make_unique<RtQueueModule>(ctx, "local",
-                                           RtQueueModule::Scope::Self, 0,
-                                           /*blocking_capable=*/false);
-  });
-  registry.register_factory("shm", [](Context& ctx)
-                                       -> std::unique_ptr<CommModule> {
-    if (simulated(ctx)) return std::make_unique<ShmSimModule>(ctx);
-    return std::make_unique<RtQueueModule>(ctx, "shm",
-                                           RtQueueModule::Scope::Anywhere, 1,
-                                           /*blocking_capable=*/false);
-  });
-  registry.register_factory("mpl", [](Context& ctx)
-                                       -> std::unique_ptr<CommModule> {
-    if (simulated(ctx)) return std::make_unique<MplSimModule>(ctx);
-    return std::make_unique<RtQueueModule>(
-        ctx, "mpl", RtQueueModule::Scope::SamePartition, 3,
-        /*blocking_capable=*/false);
-  });
-  registry.register_factory("tcp", [](Context& ctx)
-                                       -> std::unique_ptr<CommModule> {
-    if (simulated(ctx)) return std::make_unique<TcpSimModule>(ctx);
-    return std::make_unique<RtQueueModule>(ctx, "tcp",
-                                           RtQueueModule::Scope::Anywhere, 6,
-                                           /*blocking_capable=*/true);
-  });
-  registry.register_factory("udp", [](Context& ctx)
-                                       -> std::unique_ptr<CommModule> {
-    if (simulated(ctx)) return std::make_unique<UdpSimModule>(ctx);
-    return std::make_unique<RtUdpModule>(ctx);
-  });
-  registry.register_factory("secure", [](Context& ctx)
-                                          -> std::unique_ptr<CommModule> {
-    if (simulated(ctx)) return std::make_unique<SecureSimModule>(ctx);
-    return std::make_unique<RtSecureModule>(ctx);
-  });
-  registry.register_factory("zrle", [](Context& ctx)
-                                        -> std::unique_ptr<CommModule> {
-    if (simulated(ctx)) return std::make_unique<CompressSimModule>(ctx);
-    return std::make_unique<RtZrleModule>(ctx);
-  });
-  registry.register_factory("mcast", [](Context& ctx)
-                                         -> std::unique_ptr<CommModule> {
-    if (simulated(ctx)) return std::make_unique<McastSimModule>(ctx);
-    return std::make_unique<RtMcastModule>(ctx);
-  });
-  registry.register_factory("myrinet", sim_only<MyrinetSimModule>("myrinet"));
-  registry.register_factory("aal5", sim_only<Aal5SimModule>("aal5"));
-  registry.register_factory("stream", sim_only<StreamSimModule>("stream"));
+  registry.register_factory("local", any_fabric<LocalModule>());
+  registry.register_factory("shm", any_fabric<ShmModule>());
+  registry.register_factory("mpl", any_fabric<MplModule>());
+  registry.register_factory("tcp", any_fabric<TcpModule>());
+  registry.register_factory("udp", any_fabric<UdpModule>());
+  registry.register_factory("secure", any_fabric<SecureModule>());
+  registry.register_factory("zrle", any_fabric<ZrleModule>());
+  registry.register_factory("mcast", any_fabric<McastModule>());
+  registry.register_factory("myrinet", sim_only<MyrinetModule>("myrinet"));
+  registry.register_factory("aal5", sim_only<Aal5Module>("aal5"));
+  registry.register_factory("stream", sim_only<StreamModule>("stream"));
   // Reliability wrapper over the unreliable datagram transport: exactly-
   // once, in-order delivery at udp's speed rank (docs/ARCHITECTURE.md §10).
   register_reliable_wrapper(registry, "udp");

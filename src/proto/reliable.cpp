@@ -4,8 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "proto/rt_modules.hpp"
-#include "proto/sim_modules.hpp"
+#include "proto/methods.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -72,16 +71,8 @@ void ReliableModule::initialize(Context& ctx) {
 
   // The wrapper owns its own inbox, keyed by the wrapper name: rel frames
   // never mix with plain inner traffic, and inner_->poll() is never called.
-  if (ctx.clock().simulated()) {
-    SimFabric& f = *ctx.runtime().sim();
-    SimHost& host = f.host(cid);
-    auto [it, inserted] = host.boxes.try_emplace(
-        name_, simnet::Mailbox<Packet>(f.scheduler_for(cid), *host.proc));
-    sim_inbox_ = &it->second;
-  } else {
-    RtHost& host = ctx.runtime().rt()->host(cid);
-    rt_inbox_ = &host.queues[name_];
-  }
+  fabric_ = &ctx.runtime().fabric();
+  inbox_ = &fabric_->open_inbox(cid, name_);
 }
 
 CommDescriptor ReliableModule::local_descriptor() const {
@@ -105,17 +96,8 @@ std::unique_ptr<CommObject> ReliableModule::connect(
 }
 
 void ReliableModule::point_at_rel_inbox(CommObject& conn) const {
-  if (ctx_->clock().simulated()) {
-    SimConn& c = static_cast<SimConn&>(conn);
-    SimHost& host = ctx_->runtime().sim()->host(c.landing());
-    c.host_ = &host;
-    c.box_ = &host.box(name_);
-  } else {
-    RtConn& c = static_cast<RtConn&>(conn);
-    RtHost& host = ctx_->runtime().rt()->host(c.landing());
-    c.host_ = &host;
-    c.queue_ = &host.queue(name_);
-  }
+  Conn& c = static_cast<Conn&>(conn);
+  c.route_to(fabric_->inbox(c.landing(), name_));
 }
 
 ReliableModule::SendState& ReliableModule::send_state(
@@ -410,14 +392,8 @@ void ReliableModule::handle_data(Packet pkt) {
   flush_ack(peer, rs);
 }
 
-std::optional<Packet> ReliableModule::inbox_pop() {
-  if (sim_inbox_ != nullptr) return sim_inbox_->poll(now());
-  if (rt_inbox_ != nullptr) return rt_inbox_->try_pop();
-  return std::nullopt;
-}
-
 void ReliableModule::drain_inbox() {
-  while (auto pkt = inbox_pop()) {
+  while (auto pkt = fabric_->poll(*inbox_)) {
     // Inner-layer receive accounting: the frame crossed the inner wire.
     util::MethodCounters& ic = inner_->counters();
     ic.recvs += 1;
@@ -585,14 +561,12 @@ std::optional<Packet> ReliableModule::poll() {
 }
 
 std::optional<Time> ReliableModule::earliest_arrival() const {
-  // Realtime fabric: timers are revisited by the engine's idle timeout.
-  if (sim_inbox_ == nullptr) return std::nullopt;
   std::optional<Time> t;
   const auto consider = [&t](Time v) {
     if (!t || v < *t) t = v;
   };
   if (!ready_.empty()) consider(now());
-  if (auto a = sim_inbox_->earliest()) consider(*a);
+  if (auto a = fabric_->earliest_arrival(*inbox_)) consider(*a);
   for (const auto& [peer, st] : send_states_) {
     // next_timer is a lower bound on the true earliest deadline, which is
     // the safe direction here: waking early is a no-op poll, waking late

@@ -169,6 +169,7 @@ class ReliableModule final : public CommModule {
   RecvState& recv_state(ContextId peer);
   /// Point an inner connection's cached route at the *wrapper's* inbox on
   /// the landing host, so rel frames never mix with plain inner traffic.
+  /// The inner transport is a MethodModule, so its connections are Conns.
   void point_at_rel_inbox(CommObject& conn) const;
   SendEntry& slot(SendState& st, std::uint64_t seq) {
     return st.ring[static_cast<std::size_t>(seq % window_)];
@@ -193,7 +194,6 @@ class ReliableModule final : public CommModule {
   /// Drain the wrapper inbox completely: acks are consumed, in-order data
   /// lands in ready_.
   void drain_inbox();
-  std::optional<Packet> inbox_pop();
   /// inner_->send plus inner-layer counter upkeep (the wrapper drives the
   /// inner module directly, bypassing the context send path that normally
   /// does this accounting).
@@ -221,10 +221,9 @@ class ReliableModule final : public CommModule {
   /// In-order Data packets (rel header already stripped) awaiting dispatch.
   std::deque<Packet> ready_;
 
-  // The wrapper's own inbox on this context's host (exactly one is set,
-  // by fabric kind).
-  simnet::Mailbox<Packet>* sim_inbox_ = nullptr;
-  util::MpscQueue<Packet>* rt_inbox_ = nullptr;
+  // The wrapper's own inbox on this context's host.
+  Fabric* fabric_ = nullptr;
+  Inbox* inbox_ = nullptr;
 
   std::uint64_t window_ = 32;
   int max_retries_ = 12;

@@ -11,27 +11,18 @@ namespace {
 constexpr std::size_t kFragHeader = 8 + 4 + 4 + 4;  // incl. chunk length
 }  // namespace
 
-StreamSimModule::StreamSimModule(Context& ctx)
-    : SimModuleBase(ctx, "stream",
-                    LinkCosts{ctx.costs().tcp_latency,
-                              ctx.costs().tcp_poll_cost,
-                              ctx.costs().tcp_send_cpu, ctx.costs().tcp_mb_s},
-                    10),
+StreamModule::StreamModule(Context& ctx)
+    : MethodModule(ctx, "stream",
+                   LinkCosts{ctx.costs().tcp_latency,
+                             ctx.costs().tcp_poll_cost,
+                             ctx.costs().tcp_send_cpu, ctx.costs().tcp_mb_s},
+                   10),
       mtu_(static_cast<std::uint64_t>(
           std::max<std::int64_t>(64, ctx.config().get_int("stream.mtu",
                                                           8192)))) {}
 
-CommDescriptor StreamSimModule::local_descriptor() const {
-  return CommDescriptor{std::string(name()), ctx_->id(), {}};
-}
-
-bool StreamSimModule::applicable(const CommDescriptor& remote) const {
-  return remote.method == name();
-}
-
-SendResult StreamSimModule::send(CommObject& conn, Packet packet) {
-  SimConn& c = static_cast<SimConn&>(conn);
-  simnet::Mailbox<Packet>& box = route(c);
+SendResult StreamModule::send(CommObject& conn, Packet packet) {
+  Inbox& to = route(static_cast<Conn&>(conn));
   const std::uint64_t stream = next_stream_id_++;
   const std::uint64_t size = packet.payload.size();
   const auto total = static_cast<std::uint32_t>(
@@ -59,14 +50,13 @@ SendResult StreamSimModule::send(CommObject& conn, Packet packet) {
 
     // Fragments pipeline: the sender pays CPU per fragment, and each
     // fragment's transfer follows the previous one on the wire.
-    ctx_->clock().advance(costs_.send_cpu);
+    charge(costs_.send_cpu);
     const std::uint64_t wire = piece.wire_size();
     wire_total += wire;
     const Time depart = std::max(arrival, now());
     arrival = depart + simnet::transfer_time(wire, costs_.mb_s);
-    const SendResult r =
-        post_faulted(c.landing(), box, std::move(piece),
-                     arrival + costs_.latency, wire);
+    const SendResult r = fabric_->post(*ctx_, *this, to, std::move(piece),
+                                       arrival + costs_.latency - now());
     if (!r.ok()) {
       // A fault ate this fragment: the stream cannot complete, so surface
       // the failure (the receiver's partial assembly is abandoned; a retry
@@ -78,8 +68,8 @@ SendResult StreamSimModule::send(CommObject& conn, Packet packet) {
   return {DeliveryStatus::Ok, wire_total};
 }
 
-std::optional<Packet> StreamSimModule::poll() {
-  while (auto piece = SimModuleBase::poll()) {
+std::optional<Packet> StreamModule::poll() {
+  while (auto piece = MethodModule::poll()) {
     ++fragments_received_;
     util::UnpackBuffer ub(piece->payload.span());
     const std::uint64_t stream = ub.get_u64();

@@ -12,20 +12,20 @@
 // reassembled independently.
 //
 // Resource database keys: stream.mtu (bytes per fragment, default 8192).
+// Registered for the simulated fabric only, like myrinet and aal5: what it
+// adds over tcp is a modelled cost (the fragment pipeline).
 #pragma once
 
 #include <map>
 
-#include "proto/sim_modules.hpp"
+#include "proto/methods.hpp"
 
 namespace nexus::proto {
 
-class StreamSimModule final : public SimModuleBase {
+class StreamModule final : public MethodModule {
  public:
-  explicit StreamSimModule(Context& ctx);
+  explicit StreamModule(Context& ctx);
 
-  CommDescriptor local_descriptor() const override;
-  bool applicable(const CommDescriptor& remote) const override;
   SendResult send(CommObject& conn, Packet packet) override;
   std::optional<Packet> poll() override;
 

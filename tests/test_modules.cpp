@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "nexus/runtime.hpp"
-#include "proto/sim_modules.hpp"
+#include "proto/methods.hpp"
 
 namespace {
 
@@ -184,15 +184,15 @@ TEST(Modules, RegistryRejectsUnknownAndListsNames) {
 /// A user-defined module: "pigeon" -- slow, but reaches everywhere.  This
 /// exercises the extension path the paper emphasizes: new methods slot in
 /// without touching the core.
-class PigeonModule final : public proto::SimModuleBase {
+class PigeonModule final : public proto::MethodModule {
  public:
   explicit PigeonModule(Context& ctx)
-      : SimModuleBase(ctx, "pigeon",
-                      proto::LinkCosts{/*latency=*/50 * simnet::kMs,
-                                       /*poll=*/5 * simnet::kUs,
-                                       /*send_cpu=*/10 * simnet::kUs,
-                                       /*mb_s=*/0.01},
-                      /*rank=*/20) {}
+      : MethodModule(ctx, "pigeon",
+                     proto::LinkCosts{/*latency=*/50 * simnet::kMs,
+                                      /*poll=*/5 * simnet::kUs,
+                                      /*send_cpu=*/10 * simnet::kUs,
+                                      /*mb_s=*/0.01},
+                     /*rank=*/20) {}
   CommDescriptor local_descriptor() const override {
     return CommDescriptor{"pigeon", ctx_->id(), {}};
   }
@@ -202,29 +202,118 @@ class PigeonModule final : public proto::SimModuleBase {
 };
 
 TEST(Modules, CustomModuleEndToEnd) {
-  RuntimeOptions opts = opts_with({"local", "pigeon"},
-                                  simnet::Topology::two_partitions(1, 1));
+  // Written once against the fabric interface, the pigeon flies on both.
+  for (const auto fabric : {RuntimeOptions::Fabric::Simulated,
+                            RuntimeOptions::Fabric::Realtime}) {
+    SCOPED_TRACE(fabric == RuntimeOptions::Fabric::Simulated ? "sim" : "rt");
+    RuntimeOptions opts = opts_with({"local", "pigeon"},
+                                    simnet::Topology::two_partitions(1, 1));
+    opts.fabric = fabric;
+    Runtime rt(opts);
+    rt.module_registry().register_factory(
+        "pigeon",
+        [](Context& ctx) { return std::make_unique<PigeonModule>(ctx); });
+    Time delivered = -1;
+    rt.run(std::vector<std::function<void(Context&)>>{
+        [&](Context& ctx) {
+          std::uint64_t done = 0;
+          ctx.register_handler(
+              "coo", [&](Context& c, Endpoint&, util::UnpackBuffer&) {
+                delivered = c.now();
+                ++done;
+              });
+          ctx.wait_count(done, 1);
+        },
+        [&](Context& ctx) {
+          Startpoint sp = ctx.world_startpoint(0);
+          ctx.rsr(sp, "coo");
+          EXPECT_EQ(sp.selected_method(), "pigeon");
+        }});
+    EXPECT_GE(delivered, 0);
+    if (fabric == RuntimeOptions::Fabric::Simulated) {
+      EXPECT_GE(delivered, 50 * simnet::kMs);  // the pigeon took its time
+    }
+  }
+}
+
+/// What one fabric makes of the methods both fabrics provide, on
+/// two_partitions(2, 2) with context 2 relaying tcp for partition 1 and
+/// shm nodes of two contexts.
+struct FabricView {
+  static constexpr ContextId kWorld = 4;
+  /// Per method, sender and target: the landing context of the target's
+  /// descriptor if the sender's module finds it applicable, else -1.
+  std::map<std::string, std::vector<std::int64_t>> reach;
+  DeliveryStatus over_mtu_udp = DeliveryStatus::Ok;
+};
+
+FabricView view_of(RuntimeOptions::Fabric fabric) {
+  const std::vector<std::string> methods = {"local", "shm",    "mpl",  "tcp",
+                                            "udp",   "secure", "zrle", "mcast"};
+  RuntimeOptions opts = opts_with(methods,
+                                  simnet::Topology::two_partitions(2, 2));
+  opts.fabric = fabric;
+  opts.forwarders = {{1, 2}};
+  opts.db.set("shm.node_size", "2");
   Runtime rt(opts);
-  rt.module_registry().register_factory(
-      "pigeon",
-      [](Context& ctx) { return std::make_unique<PigeonModule>(ctx); });
-  Time delivered = -1;
-  rt.run(std::vector<std::function<void(Context&)>>{
-      [&](Context& ctx) {
-        std::uint64_t done = 0;
-        ctx.register_handler("coo",
-                             [&](Context& c, Endpoint&, util::UnpackBuffer&) {
-                               delivered = c.now();
-                               ++done;
-                             });
-        ctx.wait_count(done, 1);
-      },
-      [&](Context& ctx) {
-        Startpoint sp = ctx.world_startpoint(0);
-        ctx.rsr(sp, "coo");
-        EXPECT_EQ(sp.selected_method(), "pigeon");
-      }});
-  EXPECT_GE(delivered, 50 * simnet::kMs);  // the pigeon took its time
+  FabricView view;
+  for (const auto& m : methods) {
+    view.reach[m].assign(FabricView::kWorld * FabricView::kWorld, -1);
+  }
+  const auto descriptor = [&rt](ContextId to, const std::string& m) {
+    const DescriptorTable& t = rt.table_of(to);
+    return t.at(*t.find(m));
+  };
+  rt.run([&](Context& ctx) {
+    // Each context fills only its own rows of the pre-sized matrices.
+    for (const auto& m : methods) {
+      std::vector<std::int64_t>& row = view.reach.find(m)->second;
+      for (ContextId to = 0; to < FabricView::kWorld; ++to) {
+        const CommDescriptor d = descriptor(to, m);
+        if (ctx.module(m)->applicable(d)) {
+          row[ctx.id() * FabricView::kWorld + to] =
+              ctx.module(m)->landing_context(d);
+        }
+      }
+    }
+    if (ctx.id() != 1) return;
+    CommModule& udp = *ctx.module("udp");
+    auto conn = udp.connect(descriptor(0, "udp"));
+    Packet p;
+    p.src = 1;
+    p.dst = 0;
+    p.payload = util::SharedBytes::copy_of(
+        util::Bytes(static_cast<std::size_t>(opts.costs.udp_mtu) + 1, 0));
+    view.over_mtu_udp = udp.send(*conn, std::move(p)).status;
+  });
+  return view;
+}
+
+TEST(Modules, FabricParity) {
+  const FabricView sim = view_of(RuntimeOptions::Fabric::Simulated);
+  const FabricView rt = view_of(RuntimeOptions::Fabric::Realtime);
+  for (const auto& [method, reach] : sim.reach) {
+    if (method == "shm") continue;  // the node rule differs by design
+    EXPECT_EQ(reach, rt.reach.at(method)) << method;
+  }
+  // shm: ctx / shm.node_size on sim; every realtime context shares a node.
+  // tcp: targets in partition 1 land on its forwarder, context 2.
+  const auto lands = [](bool applicable, ContextId at) -> std::int64_t {
+    return applicable ? std::int64_t{at} : -1;
+  };
+  for (ContextId from = 0; from < FabricView::kWorld; ++from) {
+    for (ContextId to = 0; to < FabricView::kWorld; ++to) {
+      const std::size_t i = from * FabricView::kWorld + to;
+      const bool same_half = from / 2 == to / 2;
+      EXPECT_EQ(sim.reach.at("shm")[i], lands(same_half, to));
+      EXPECT_EQ(rt.reach.at("shm")[i], lands(true, to));
+      EXPECT_EQ(sim.reach.at("tcp")[i], lands(true, to < 2 ? to : 2));
+      EXPECT_EQ(sim.reach.at("mpl")[i], lands(same_half, to));
+      EXPECT_EQ(sim.reach.at("local")[i], lands(from == to, to));
+    }
+  }
+  EXPECT_EQ(sim.over_mtu_udp, DeliveryStatus::Dead);
+  EXPECT_EQ(rt.over_mtu_udp, DeliveryStatus::Dead);
 }
 
 TEST(Modules, UdpDropCounterExposed) {
@@ -236,7 +325,7 @@ TEST(Modules, UdpDropCounterExposed) {
     if (ctx.id() != 1) return;
     Startpoint sp = ctx.world_startpoint(0);
     for (int i = 0; i < 10; ++i) ctx.rsr(sp, "void");
-    auto* udp = dynamic_cast<proto::UdpSimModule*>(ctx.module("udp"));
+    auto* udp = dynamic_cast<proto::UdpModule*>(ctx.module("udp"));
     ASSERT_NE(udp, nullptr);
     EXPECT_EQ(udp->dropped(), 10u);
   });

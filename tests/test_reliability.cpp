@@ -4,7 +4,7 @@
 
 #include "fixture_runtime.hpp"
 #include "nexus/runtime.hpp"
-#include "proto/sim_modules.hpp"
+#include "proto/methods.hpp"
 
 namespace {
 

@@ -6,8 +6,7 @@
 #include <thread>
 
 #include "nexus/runtime.hpp"
-#include "proto/rt_modules.hpp"
-#include "proto/sim_modules.hpp"
+#include "proto/methods.hpp"
 
 namespace {
 
@@ -259,7 +258,7 @@ TEST(Realtime, UdpDropsForReal) {
         Startpoint sp = ctx.world_startpoint(0);
         sp.force_method("udp");
         for (int i = 0; i < 5; ++i) ctx.rsr(sp, "void");
-        auto* udp = dynamic_cast<nexus::proto::RtUdpModule*>(
+        auto* udp = dynamic_cast<nexus::proto::UdpModule*>(
             ctx.module("udp"));
         ASSERT_NE(udp, nullptr);
         EXPECT_EQ(udp->dropped(), 5u);

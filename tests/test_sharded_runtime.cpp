@@ -23,7 +23,7 @@
 #include "fixture_runtime.hpp"
 #include "nexus/runtime.hpp"
 #include "proto/reliable.hpp"
-#include "proto/sim_modules.hpp"
+#include "proto/methods.hpp"
 #include "util/pack.hpp"
 
 namespace {

@@ -18,8 +18,8 @@ RuntimeOptions stream_opts(std::size_t n, std::int64_t mtu = 0) {
   return opts;
 }
 
-proto::StreamSimModule* stream_of(Context& ctx) {
-  return dynamic_cast<proto::StreamSimModule*>(ctx.module("stream"));
+proto::StreamModule* stream_of(Context& ctx) {
+  return dynamic_cast<proto::StreamModule*>(ctx.module("stream"));
 }
 
 TEST(Stream, LargePayloadRoundtripIntact) {

@@ -11,7 +11,7 @@
 #include "nexus/telemetry/export.hpp"
 #include "nexus/telemetry/stitch.hpp"
 #include "nexus/telemetry/telemetry.hpp"
-#include "proto/sim_modules.hpp"
+#include "proto/methods.hpp"
 
 namespace {
 

@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "nexus/runtime.hpp"
-#include "proto/sim_modules.hpp"
+#include "proto/methods.hpp"
 
 namespace {
 
