@@ -1,19 +1,13 @@
 // RSR hot-path microbenchmark: ns/RSR and allocations/RSR for unicast,
 // 8-way multicast, and forwarded sends at payload sizes 16B..64KiB, plus
-// sharded-runtime scaling cases (threads=1/2/4) for a cross-shard unicast
-// ring and a fully contended multicast.
+// two 8-context worlds: a unicast ring and a fully contended multicast.
 //
-// The classic cases run the single-shard engine (threads=1): the
-// conservative scheduler runs exactly one context at a time, so wall-clock
-// time measured from the driver covers the full send -> fabric -> deliver
-// path of every context involved.  The scaling cases run the same world on
-// N shard threads and measure aggregate wall time from outside the run;
-// their rows carry `threads` and `cpus` params because the speedup is
-// bounded by the physical cores the host actually has (ISSUE 7 measures
-// were taken on a 1-CPU container -- the curve is recorded honestly, not
-// extrapolated).  Allocations are counted with a global operator new hook;
-// the per-phase constant overhead (one mark RSR plus one ack per receiver)
-// is amortized over the round count.
+// The conservative scheduler runs exactly one context at a time, so
+// wall-clock time measured from the driver covers the full send -> fabric
+// -> deliver path of every context involved.  The 8-context worlds measure
+// aggregate wall time from outside the run.  Allocations are counted with a
+// global operator new hook; the per-phase constant overhead (one mark RSR
+// plus one ack per receiver) is amortized over the round count.
 //
 // Usage: micro_rsr_hotpath [rounds] [output.json]
 //   rounds defaults to 20000 (64KiB cases use rounds/5); CI passes a small
@@ -24,7 +18,6 @@
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -234,41 +227,37 @@ CaseResult run_case(Pattern pattern, std::size_t payload_size, long rounds,
   return result;
 }
 
-/// Sharded-runtime scaling case: 8 contexts on `threads` shard threads.
+/// 8-context world case.
 ///
-/// `Ring`: every context streams `rounds` RSRs to its clockwise neighbour
-/// (at threads=1 this stays on the classic same-shard hot path; at
-/// threads=4 with shard = id % 4 every hop crosses a shard boundary, so
-/// the whole stream rides the MPSC router).  `McastAll`: all 8 contexts
-/// join one group and every context multicasts `rounds / 8` RSRs into it,
-/// contending on the COW membership snapshot and all eight mailboxes at
-/// once.  Returns aggregate ns and allocs per *delivered* RSR: each
-/// configuration is run twice, once with zero data rounds (world
-/// construction, shard-thread spawn, the mcast join barrier) and once with
-/// the real workload, and the calibration run's wall time and allocation
-/// count are subtracted so the per-RSR figures are independent of how many
-/// rounds amortize the fixed setup (the CI smoke job runs tiny counts).
-enum class ScalePattern { Ring, McastAll };
+/// `Ring`: every context streams `rounds` RSRs to its clockwise neighbour.
+/// `McastAll`: all 8 contexts join one group and every context multicasts
+/// `rounds / 8` RSRs into it, contending on the COW membership snapshot and
+/// all eight mailboxes at once.  Returns aggregate ns and allocs per
+/// *delivered* RSR: each configuration is run twice, once with zero data
+/// rounds (world construction, process spawn, the mcast join barrier) and
+/// once with the real workload, and the calibration run's wall time and
+/// allocation count are subtracted so the per-RSR figures are independent
+/// of how many rounds amortize the fixed setup (the CI smoke job runs tiny
+/// counts).
+enum class WorldPattern { Ring, McastAll };
 
-/// One full Runtime lifetime of the scaling world; returns (wall ns,
+/// One full Runtime lifetime of the 8-context world; returns (wall ns,
 /// allocs) for the whole run.
-std::pair<std::uint64_t, std::uint64_t> run_scaling_world(
-    ScalePattern pattern, unsigned threads, const nexus::util::Bytes& src,
-    long per_sender) {
+std::pair<std::uint64_t, std::uint64_t> run_world(
+    WorldPattern pattern, const nexus::util::Bytes& src, long per_sender) {
   constexpr ContextId kWorld = 8;
   RuntimeOptions opts;
   opts.metrics = false;
   opts.flight = true;
   opts.sim_slack = 10 * nexus::simnet::kSec;
-  opts.threads = threads;
   opts.topology = nexus::simnet::Topology::single_partition(kWorld);
-  if (pattern == ScalePattern::McastAll) {
+  if (pattern == WorldPattern::McastAll) {
     opts.modules = {"local", "mpl", "tcp", "mcast"};
   }
   // Deliveries per context: the ring receives its neighbour's stream; the
   // mcast world receives every member's stream (self included).
   const std::uint64_t per_recv =
-      pattern == ScalePattern::Ring
+      pattern == WorldPattern::Ring
           ? static_cast<std::uint64_t>(per_sender)
           : static_cast<std::uint64_t>(per_sender) * kWorld;
 
@@ -283,15 +272,14 @@ std::pair<std::uint64_t, std::uint64_t> run_scaling_world(
                                        nexus::util::UnpackBuffer&) {
         ++got[id];
       });
-      if (pattern == ScalePattern::Ring) {
+      if (pattern == WorldPattern::Ring) {
         Startpoint next = ctx.world_startpoint((id + 1) % kWorld);
         for (long i = 0; i < per_sender; ++i) {
           ctx.rsr(next, h_sink, nexus::util::SharedBytes::copy_of(src));
         }
       } else {
         // Join, then rendezvous through the "go" fan-out from context 0 so
-        // no member multicasts into a half-built group (shard clocks are
-        // decoupled; only causality orders the join before the send).
+        // no member multicasts into a half-built group.
         std::uint64_t go = 0;
         nexus::Endpoint& ep = ctx.create_endpoint();
         ctx.register_handler("go", [&](Context&, nexus::Endpoint&,
@@ -333,19 +321,19 @@ std::pair<std::uint64_t, std::uint64_t> run_scaling_world(
           a1 - a0};
 }
 
-CaseResult run_scaling_case(ScalePattern pattern, unsigned threads,
-                            std::size_t payload_size, long rounds) {
+CaseResult run_world_case(WorldPattern pattern, std::size_t payload_size,
+                          long rounds) {
   constexpr long kWorld = 8;
   const nexus::util::Bytes src(payload_size, 0xa5);
   const long per_sender =
-      pattern == ScalePattern::Ring ? rounds : std::max(rounds / kWorld, 1L);
+      pattern == WorldPattern::Ring ? rounds : std::max(rounds / kWorld, 1L);
   const std::uint64_t total_deliveries =
-      pattern == ScalePattern::Ring
+      pattern == WorldPattern::Ring
           ? static_cast<std::uint64_t>(per_sender) * kWorld
           : static_cast<std::uint64_t>(per_sender) * kWorld * kWorld;
 
-  const auto calib = run_scaling_world(pattern, threads, src, 0);
-  const auto run = run_scaling_world(pattern, threads, src, per_sender);
+  const auto calib = run_world(pattern, src, 0);
+  const auto run = run_world(pattern, src, per_sender);
   const std::uint64_t ns = run.first > calib.first ? run.first - calib.first
                                                    : 0;
   const std::uint64_t allocs =
@@ -393,7 +381,6 @@ int main(int argc, char** argv) {
                   {"payload_bytes", std::to_string(bytes)},
                   {"links", std::to_string(links)},
                   {"rounds", std::to_string(case_rounds)},
-                  {"threads", "1"},
                   {"flight", "1"}},
                  r.ns_per_rsr, r.allocs_per_rsr);
     }
@@ -413,39 +400,29 @@ int main(int argc, char** argv) {
                 {"payload_bytes", std::to_string(bytes)},
                 {"links", "1"},
                 {"rounds", std::to_string(case_rounds)},
-                {"threads", "1"},
                 {"flight", "0"}},
                r.ns_per_rsr, r.allocs_per_rsr);
   }
 
-  // Sharded-runtime scaling curve: the same 8-context worlds on 1, 2, and
-  // 4 shard threads.  ns/RSR here is aggregate (wall time over all
-  // deliveries), so on a multi-core host it *drops* as threads rise; the
-  // `cpus` param records how many cores this host could actually use.
-  const unsigned cpus = std::thread::hardware_concurrency();
+  // The 8-context worlds.  ns/RSR here is aggregate: wall time over all
+  // deliveries.
   const struct {
-    ScalePattern pattern;
+    WorldPattern pattern;
     const char* name;
-  } scale_cases[] = {{ScalePattern::Ring, "ring8"},
-                     {ScalePattern::McastAll, "mcast_contended"}};
-  for (const auto& sc : scale_cases) {
-    for (unsigned threads : {1u, 2u, 4u}) {
-      const long case_rounds = std::max(rounds / 2, 100L);
-      CaseResult r =
-          run_scaling_case(sc.pattern, threads, 1024, case_rounds);
-      const std::string row =
-          std::string(sc.name) + "/t" + std::to_string(threads);
-      std::printf("%-10s %10d %6u %14.1f %12.3f\n", sc.name, 1024, threads,
-                  r.ns_per_rsr, r.allocs_per_rsr);
-      writer.add(row,
-                 {{"pattern", sc.name},
-                  {"payload_bytes", "1024"},
-                  {"rounds", std::to_string(case_rounds)},
-                  {"threads", std::to_string(threads)},
-                  {"cpus", std::to_string(cpus)},
-                  {"flight", "1"}},
-                 r.ns_per_rsr, r.allocs_per_rsr);
-    }
+  } world_cases[] = {{WorldPattern::Ring, "ring8"},
+                     {WorldPattern::McastAll, "mcast_contended"}};
+  for (const auto& wc : world_cases) {
+    const long case_rounds = std::max(rounds / 2, 100L);
+    CaseResult r = run_world_case(wc.pattern, 1024, case_rounds);
+    const int links = wc.pattern == WorldPattern::McastAll ? 8 : 1;
+    std::printf("%-10s %10d %6d %14.1f %12.3f\n", wc.name, 1024, links,
+                r.ns_per_rsr, r.allocs_per_rsr);
+    writer.add(wc.name,
+               {{"pattern", wc.name},
+                {"payload_bytes", "1024"},
+                {"rounds", std::to_string(case_rounds)},
+                {"flight", "1"}},
+               r.ns_per_rsr, r.allocs_per_rsr);
   }
 
   if (!writer.write(out_path)) {

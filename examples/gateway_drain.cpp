@@ -52,10 +52,6 @@ int main() {
   // whole workload.  (A finite window keeps the schedule restartable; the
   // incarnation it would come back with is 2.)
   opts.faults.crash(2, 12 * kMs, 5000 * kMs);
-  // Time-windowed crash plans and the phased handshakes below assume the
-  // shared single-shard virtual clock (docs/ARCHITECTURE.md §13.4), so the
-  // example pins threads even when NEXUS_THREADS is exported.
-  opts.threads = 1;
 
   Runtime rt(opts);
   rt.telemetry().tracer().enable();

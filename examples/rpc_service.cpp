@@ -60,9 +60,6 @@ int main() {
   opts.modules = {"local", "mpl", "tcp"};
   // Replica B dies hard at 8 ms and stays down past the whole workload.
   opts.faults.crash(kReplicaB, 8 * kMs, 5000 * kMs);
-  // Deadline arithmetic and the crash window ride the shared single-shard
-  // virtual clock (docs §13.4), so the example pins threads.
-  opts.threads = 1;
   Runtime rt(opts);
 
   std::atomic<int> clients_done{0};

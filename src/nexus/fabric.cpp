@@ -7,11 +7,8 @@
 namespace nexus {
 
 namespace {
-// Pre-sharding fault-rng construction, preserved exactly for shard 0 so
-// threads=1 runs draw the identical stream the single-threaded runtime did.
+// Salt separating the fault rng's stream from the other seeded models.
 constexpr std::uint64_t kFaultRngSalt = 0xfa171fab71c5ull;
-// Weyl constant decorrelating the additional shard streams.
-constexpr std::uint64_t kShardStride = 0x9e3779b97f4a7c15ull;
 
 /// The inbox a host opened for `method`, or a MethodError.
 template <typename Inboxes>
@@ -67,97 +64,17 @@ void Fabric::note_enqueue(Context& from, const CommModule& via,
                 static_cast<std::uint64_t>(now + delay), 0, pkt.trace});
 }
 
-/// Bridges a shard's scheduler to the fabric's cross-shard router: drains
-/// the shard's inbound MPSC queue into local mailboxes at the top of every
-/// scheduler iteration, and parks on the ShardGroup when the shard is
-/// locally idle.
-class SimFabric::ShardSource : public simnet::ExternalSource {
- public:
-  ShardSource(SimFabric& fabric, std::size_t shard)
-      : fabric_(fabric), shard_(shard) {}
-
-  bool drain() override {
-    auto& inbound = fabric_.shards_[shard_]->inbound;
-    std::size_t n = 0;
-    while (auto post = inbound.try_pop()) {
-      post->box->post(post->arrival, std::move(post->pkt));
-      ++n;
-    }
-    if (n != 0) fabric_.group_->note_drained(n);
-    return n != 0;
-  }
-
-  simnet::ExternalIdle idle(bool /*locally_done*/) override {
-    return fabric_.group_->park(shard_, [this] {
-      return !fabric_.shards_[shard_]->inbound.empty();
-    });
-  }
-
- private:
-  SimFabric& fabric_;
-  const std::size_t shard_;
-};
-
 SimFabric::SimFabric(simnet::Topology topology)
     : Fabric(std::move(topology), /*simulated=*/true) {
-  shards_.push_back(std::make_unique<Shard>());
-  seed_fault_rngs();
+  set_faults({}, 0);
 }
 
 SimFabric::~SimFabric() = default;
 
-void SimFabric::init_shards(std::size_t n) {
-  if (n == 0) n = 1;
-  if (n == shards_.size()) return;
-  if (!procs_by_ctx_.empty() || shards_[0]->scheduler.process_count() != 0) {
-    throw util::Error("SimFabric::init_shards: processes already spawned");
-  }
-  shards_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_[i]->scheduler.set_shard_index(i);
-  }
-  if (n > 1) {
-    group_ = std::make_unique<simnet::ShardGroup>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      shards_[i]->source = std::make_unique<ShardSource>(*this, i);
-      shards_[i]->scheduler.set_external_source(shards_[i]->source.get());
-    }
-  } else {
-    group_.reset();
-  }
-  seed_fault_rngs();
-}
-
-void SimFabric::register_process(ContextId id, simnet::SimProcess* proc) {
-  if (procs_by_ctx_.size() <= id) procs_by_ctx_.resize(id + 1, nullptr);
-  procs_by_ctx_[id] = proc;
-}
-
-simnet::SimProcess& SimFabric::process_of(ContextId id) {
-  if (id >= procs_by_ctx_.size() || procs_by_ctx_[id] == nullptr) {
-    throw util::Error("SimFabric: no process registered for context " +
-                      std::to_string(id));
-  }
-  return *procs_by_ctx_[id];
-}
-
-void SimFabric::post_cross_shard(ContextId dst, simnet::Mailbox<Packet>& box,
-                                 simnet::Time arrival, Packet pkt) {
-  const std::size_t target = shard_of(dst);
-  // Inflight accounting BEFORE the enqueue (termination-protocol contract:
-  // the counter must cover the post for the whole window in which the
-  // producing shard is provably unparked).
-  group_->note_enqueue();
-  shards_[target]->inbound.push(
-      CrossShardPost{&box, arrival, std::move(pkt)});
-  group_->wake(target);
-}
-
 Inbox& SimFabric::open_inbox(ContextId ctx, std::string_view method) {
   SimHost& h = host(ctx);
   return h.boxes
-      .try_emplace(std::string(method), ctx, h, scheduler_for(ctx), *h.proc)
+      .try_emplace(std::string(method), ctx, h, scheduler_, *h.proc)
       .first->second;
 }
 
@@ -174,7 +91,7 @@ SendResult SimFabric::post(Context& from, const CommModule& via, Inbox& to,
   // Crash rules (docs §14): a send toward a context inside its crash window
   // is the connection-refused analog -- a hard Dead verdict, independent of
   // the link-fault rules.  Crash predicates are pure functions of
-  // (ctx, partition, time), so any shard can evaluate them race-free.
+  // (ctx, partition, time) and draw nothing from the fault rng.
   if (faults_.has_crashes() &&
       faults_.crashed(dst, topology().partition_of(dst), now)) {
     note_drop(from, via, pkt, wire, dst);
@@ -183,7 +100,7 @@ SendResult SimFabric::post(Context& from, const CommModule& via, Inbox& to,
   if (!faults_.empty()) {
     const simnet::FaultVerdict v = faults_.consult(
         via.name(), topology().partition_of(from.id()),
-        topology().partition_of(dst), now, fault_rng_for(from.id()));
+        topology().partition_of(dst), now, fault_rng_);
     if (v.failed()) {
       note_drop(from, via, pkt, wire, dst);
       return {v.dead ? DeliveryStatus::Dead : DeliveryStatus::Transient,
@@ -193,8 +110,7 @@ SendResult SimFabric::post(Context& from, const CommModule& via, Inbox& to,
     arrival += v.extra_delay;
   }
   note_enqueue(from, via, pkt, wire, arrival - now);
-  post_at(from.id(), dst, static_cast<SimInbox&>(to).box, arrival,
-          std::move(pkt));
+  static_cast<SimInbox&>(to).box.post(arrival, std::move(pkt));
   return {DeliveryStatus::Ok, wire};
 }
 
@@ -203,12 +119,9 @@ double SimFabric::inbound_drag(const Inbox& to) const {
       std::memory_order_relaxed);
 }
 
-Fabric::Backlog SimFabric::backlog(ContextId from, const Inbox& to) const {
+Fabric::Backlog SimFabric::backlog(const Inbox& to) const {
   const SimInbox& s = static_cast<const SimInbox&>(to);
-  // box.pending() is owned by the destination's home shard, so the queue
-  // depth is visible to same-shard senders only (the per-shard congestion
-  // view); in-flight bytes are an atomic every shard can read.
-  return {same_shard(from, to.owner) ? s.box.pending() : 0,
+  return {s.box.pending(),
           s.host->tcp_inflight_bytes.load(std::memory_order_relaxed)};
 }
 
@@ -231,15 +144,7 @@ void SimFabric::add_in_flight(Inbox& to, std::int64_t bytes) {
 
 void SimFabric::set_faults(simnet::FaultPlan plan, std::uint64_t seed) {
   faults_ = std::move(plan);
-  fault_seed_ = seed;
-  seed_fault_rngs();
-}
-
-void SimFabric::seed_fault_rngs() {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->fault_rng =
-        util::Rng(fault_seed_ ^ kFaultRngSalt ^ (kShardStride * i));
-  }
+  fault_rng_ = util::Rng(seed ^ kFaultRngSalt);
 }
 
 Inbox& RtFabric::open_inbox(ContextId ctx, std::string_view method) {

@@ -6,15 +6,10 @@
 // the few cost-model inputs only the simulator has.  Each method is
 // written once against it (proto/methods.hpp) and runs on either fabric.
 //
-// The simulated fabric owns one conservative scheduler per *shard* (threads=1
-// collapses to the classic single-scheduler layout, bit-identical to the
-// pre-sharding runtime) and, per context, a SimHost with one arrival-ordered
-// mailbox per method.  Contexts are assigned to shards round-robin
-// (shard = ctx % shards); a context's process, mailboxes, and handlers live
-// on its home shard and are touched by that shard's thread only.
-// Cross-shard traffic is routed through a per-shard lock-free MPSC queue
-// (SimFabric::post_at) and drained by the receiving shard's scheduler loop;
-// the ShardGroup parked-mask protocol decides global termination.
+// The simulated fabric owns one conservative scheduler, whose process i is
+// context i, and, per context, a SimHost with one arrival-ordered mailbox
+// per method.  The scheduler runs one process at a time, so a post writes
+// straight into the destination mailbox.
 //
 // The realtime fabric owns, per context, a RtHost with one lock-free MPSC
 // packet queue per method (single consumer = the context's polling engine or
@@ -38,7 +33,6 @@
 #include "simnet/fault.hpp"
 #include "simnet/mailbox.hpp"
 #include "simnet/scheduler.hpp"
-#include "simnet/shard.hpp"
 #include "simnet/topology.hpp"
 #include "util/error.hpp"
 #include "util/mpsc_queue.hpp"
@@ -120,8 +114,8 @@ class Fabric {
   /// Bandwidth divisor on mpl-class transfers into `to`: its owner's
   /// expensive polls interfere with the drain (1.0 = none).
   virtual double inbound_drag(const Inbox&) const { return 1.0; }
-  /// Incast inputs of inbox `to` as seen by a sender in context `from`.
-  virtual Backlog backlog(ContextId, const Inbox&) const { return {}; }
+  /// Incast inputs of inbox `to`.
+  virtual Backlog backlog(const Inbox&) const { return {}; }
   /// Account tcp bytes entering (> 0) or leaving (< 0) inbox `to`'s owner.
   virtual void add_in_flight(Inbox&, std::int64_t) {}
   /// The shared-memory node of context `ctx`: ctx / node_size on the
@@ -164,7 +158,7 @@ class Fabric {
 
 struct SimHost;
 
-/// A simulated inbox: an arrival-ordered mailbox on its owner's home shard.
+/// A simulated inbox: an arrival-ordered mailbox of its owner's process.
 struct SimInbox final : Inbox {
   SimInbox(ContextId owner_ctx, SimHost& h, simnet::Scheduler& sched,
            simnet::SimProcess& proc)
@@ -180,14 +174,13 @@ struct SimHost {
   std::map<std::string, SimInbox, std::less<>> boxes;
   /// Interference drag on inbound MPL-class transfers caused by this host's
   /// expensive polls (1.0 = none); see Context::update_interference().
-  /// Atomic: written by the owning context, read by senders on any shard.
-  /// Relaxed suffices -- it is a scalar performance-model knob, not a
-  /// synchronization edge.
+  /// Written by the owning context and read by its senders.  The scheduler
+  /// serializes them, so the relaxed atomic is no synchronization edge,
+  /// only a scalar cost-model input.
   std::atomic<double> inbound_drag{1.0};
   /// Bytes currently in flight toward this host over the TCP-class method;
-  /// maintained by the tcp module for the incast-collapse model.  Atomic
-  /// for the same reason: senders on every shard add, the receiver
-  /// subtracts.
+  /// maintained by the tcp module for the incast-collapse model.  Senders
+  /// add and the receiver subtracts, relaxed for the same reason.
   std::atomic<std::uint64_t> tcp_inflight_bytes{0};
 
   simnet::Mailbox<Packet>& box(std::string_view method);
@@ -212,58 +205,15 @@ class SimFabric final : public Fabric {
     return static_cast<const SimInbox&>(in).box.earliest();
   }
   double inbound_drag(const Inbox& to) const override;
-  Backlog backlog(ContextId from, const Inbox& to) const override;
+  Backlog backlog(const Inbox& to) const override;
   void add_in_flight(Inbox& to, std::int64_t bytes) override;
   std::uint32_t node_of(ContextId ctx,
                         std::uint32_t node_size) const override {
     return ctx / node_size;
   }
 
-  // ---- sharding ----------------------------------------------------------
-
-  /// Partition the fabric into `n` scheduler shards (1..ShardGroup::
-  /// kMaxShards).  Must be called before any process is spawned or mailbox
-  /// created; constructing the fabric leaves it at one shard.
-  void init_shards(std::size_t n);
-
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-  std::size_t shard_of(ContextId id) const noexcept {
-    return static_cast<std::size_t>(id) % shards_.size();
-  }
-  bool same_shard(ContextId a, ContextId b) const noexcept {
-    return shard_of(a) == shard_of(b);
-  }
-
-  /// The scheduler owning context `id`'s process and mailboxes.
-  simnet::Scheduler& scheduler_for(ContextId id) {
-    return shards_[shard_of(id)]->scheduler;
-  }
-  /// A specific shard's scheduler (shard 0 by default -- the whole fabric
-  /// under threads=1).
-  simnet::Scheduler& scheduler(std::size_t shard = 0) {
-    return shards_.at(shard)->scheduler;
-  }
-
-  /// Context -> SimProcess registry.  Under sharding, a process's index
-  /// within its shard's scheduler is unrelated to the context id, so the
-  /// runtime registers each spawned process here.
-  void register_process(ContextId id, simnet::SimProcess* proc);
-  simnet::SimProcess& process_of(ContextId id);
-
-  /// Deliver `pkt` into `box` (owned by `dst`) at virtual time `arrival`.
-  /// Same-shard posts -- the entire workload at threads=1 -- stay on the
-  /// classic direct-mailbox hot path, inlined.  Cross-shard posts take the
-  /// out-of-line MPSC route (+1 node alloc and a conditional wakeup); the
-  /// receiving shard's scheduler drains them into the mailbox on its own
-  /// thread.  The caller must be running on `src`'s home shard.
-  void post_at(ContextId src, ContextId dst, simnet::Mailbox<Packet>& box,
-               simnet::Time arrival, Packet pkt) {
-    if (group_ == nullptr || same_shard(src, dst)) {
-      box.post(arrival, std::move(pkt));
-      return;
-    }
-    post_cross_shard(dst, box, arrival, std::move(pkt));
-  }
+  /// The one scheduler; its process i runs context i.
+  simnet::Scheduler& scheduler() noexcept { return scheduler_; }
 
   SimHost& host(ContextId id) { return *hosts_.at(id); }
   void add_host(std::unique_ptr<SimHost> h) { hosts_.push_back(std::move(h)); }
@@ -271,56 +221,19 @@ class SimFabric final : public Fabric {
   // ---- fault injection ---------------------------------------------------
 
   /// Deterministic fault-injection plan every simulated module consults at
-  /// send time.  Mutable between runs and, under threads=1, mid-run (the
-  /// scheduler serializes sim processes); threaded runs must install the
-  /// plan before run().
+  /// send time.  Mutable between runs and mid-run (the scheduler serializes
+  /// sim processes).
   void set_faults(simnet::FaultPlan plan, std::uint64_t seed);
   simnet::FaultPlan& faults() noexcept { return faults_; }
   const simnet::FaultPlan& faults() const noexcept { return faults_; }
 
-  /// The rng behind probabilistic fault rules, sharded: each scheduler
-  /// thread draws from its own stream (shard 0 keeps the pre-sharding
-  /// stream, so threads=1 fault sequences are bit-identical to the
-  /// single-threaded runtime).
-  util::Rng& fault_rng_for(ContextId ctx) {
-    return shards_[shard_of(ctx)]->fault_rng;
-  }
-
-  /// The termination/wakeup group coordinating the shards' scheduler loops;
-  /// nullptr at one shard (plain DeadlockError semantics apply).
-  simnet::ShardGroup* shard_group() noexcept { return group_.get(); }
-
  private:
-  struct CrossShardPost {
-    simnet::Mailbox<Packet>* box = nullptr;
-    simnet::Time arrival = 0;
-    Packet pkt;
-  };
-
-  /// Slow path of post_at(): route through the destination shard's MPSC
-  /// queue with termination-protocol inflight accounting.
-  void post_cross_shard(ContextId dst, simnet::Mailbox<Packet>& box,
-                        simnet::Time arrival, Packet pkt);
-
-  /// ExternalSource a sharded fabric installs on each shard's scheduler.
-  class ShardSource;
-
-  struct Shard {
-    simnet::Scheduler scheduler;
-    util::MpscQueue<CrossShardPost> inbound;
-    util::Rng fault_rng;
-    std::unique_ptr<ShardSource> source;
-  };
-
-  void seed_fault_rngs();
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<simnet::ShardGroup> group_;
+  simnet::Scheduler scheduler_;
   std::vector<std::unique_ptr<SimHost>> hosts_;
-  std::vector<simnet::SimProcess*> procs_by_ctx_;
 
   simnet::FaultPlan faults_;
-  std::uint64_t fault_seed_ = 0;
+  /// The rng behind probabilistic fault rules.
+  util::Rng fault_rng_;
 };
 
 /// A realtime inbox: a lock-free MPSC queue plus its owner's activity

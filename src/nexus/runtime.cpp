@@ -1,6 +1,5 @@
 #include "nexus/runtime.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -64,39 +63,6 @@ Runtime::Runtime(RuntimeOptions opts) : opts_(std::move(opts)) {
     if (const char* env = std::getenv("NEXUS_FLIGHT_DIR")) {
       opts_.flight_dir = env;
     }
-  }
-  // Scheduler-shard count.  Explicit opts.threads >= 1 wins (tests pin
-  // themselves single-shard that way); 0 = auto: NEXUS_THREADS env, then
-  // the runtime.threads database key, then 1.
-  unsigned threads = opts_.threads;
-  if (threads == 0) {
-    if (const char* env = std::getenv("NEXUS_THREADS")) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 1) {
-        threads = static_cast<unsigned>(v);
-      } else {
-        std::fprintf(stderr,
-                     "[WARN ] nexus: unrecognized NEXUS_THREADS value '%s' "
-                     "(expected a positive integer)\n",
-                     env);
-      }
-    }
-  }
-  if (threads == 0) {
-    if (auto v = opts_.db.get("runtime.threads")) {
-      threads = static_cast<unsigned>(std::strtoul(v->c_str(), nullptr, 10));
-    }
-  }
-  if (threads == 0) threads = 1;
-  // More shards than contexts would only park idle scheduler threads; the
-  // parked-mask protocol also caps the group at 64 shards.
-  threads_ = static_cast<unsigned>(std::min<std::size_t>(
-      {threads, world_size(), simnet::ShardGroup::kMaxShards}));
-  if (sim_) {
-    sim_->init_shards(threads_);
-  } else {
-    threads_ = 1;  // the realtime fabric is already thread-per-context
   }
   telemetry_.tracer().set_capacity(opts_.trace_capacity);
   telemetry_.tracer().enable(opts_.tracing);
@@ -249,7 +215,7 @@ std::vector<std::string> Runtime::module_names_for(ContextId id) const {
 std::unique_ptr<Context> Runtime::make_context(ContextId id) {
   std::unique_ptr<ContextClock> clock;
   if (sim_) {
-    clock = std::make_unique<SimClock>(sim_->process_of(id));
+    clock = std::make_unique<SimClock>(*sim_->host(id).proc);
   } else {
     // All realtime clocks share the runtime's epoch so cross-context
     // timestamp differences (RSR one-way times) are meaningful.
@@ -310,54 +276,25 @@ void Runtime::run(std::vector<std::function<void(Context&)>> fns) {
   fns_ = std::move(fns);
 
   if (sim_) {
+    simnet::Scheduler& sched = sim_->scheduler();
     for (ContextId id = 0; id < world_size(); ++id) {
-      auto& proc = sim_->scheduler_for(id).spawn(
-          "ctx" + std::to_string(id), [this, id] { fns_[id](*contexts_[id]); });
-      proc.set_horizon_slack(opts_.sim_slack);
-      sim_->register_process(id, &proc);
+      sched.spawn("ctx" + std::to_string(id), [this, id] {
+        fns_[id](*contexts_[id]);
+      }).set_horizon_slack(opts_.sim_slack);
     }
     for (ContextId id = 0; id < world_size(); ++id) {
       auto host = std::make_unique<SimHost>();
-      host->proc = &sim_->process_of(id);
+      host->proc = &sched.process(id);
       sim_->add_host(std::move(host));
     }
     build_contexts();
-    if (threads_ <= 1) {
-      try {
-        sim_->scheduler().run();
-      } catch (...) {
-        // Preserve the last moments of every context before unwinding: the
-        // flight dump is the post-mortem for whatever threw.
-        telemetry_.dump_flight("unhandled-fault");
-        throw;
-      }
-    } else {
-      // One scheduler shard per worker thread; shard 0 runs on the calling
-      // thread.  A failing shard aborts the group so the others' idle
-      // parks unwind instead of waiting for traffic that never comes, and
-      // the lowest failing shard's exception is the one rethrown.
-      std::vector<std::exception_ptr> shard_errors(threads_);
-      auto run_shard = [this, &shard_errors](std::size_t s) {
-        try {
-          sim_->scheduler(s).run();
-        } catch (...) {
-          shard_errors[s] = std::current_exception();
-          sim_->shard_group()->abort();
-        }
-      };
-      std::vector<std::thread> workers;
-      workers.reserve(threads_ - 1);
-      for (std::size_t s = 1; s < threads_; ++s) {
-        workers.emplace_back(run_shard, s);
-      }
-      run_shard(0);
-      for (auto& t : workers) t.join();
-      for (const auto& e : shard_errors) {
-        if (e) {
-          telemetry_.dump_flight("unhandled-fault");
-          std::rethrow_exception(e);
-        }
-      }
+    try {
+      sim_->scheduler().run();
+    } catch (...) {
+      // Preserve the last moments of every context before unwinding: the
+      // flight dump is the post-mortem for whatever threw.
+      telemetry_.dump_flight("unhandled-fault");
+      throw;
     }
     if (exporter_ != nullptr && exporter_->active()) {
       // Final snapshot so short runs export at least one sample.

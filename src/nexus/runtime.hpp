@@ -52,17 +52,6 @@ struct RuntimeOptions {
   std::map<int, ContextId> forwarders;
   /// Seed for stochastic models (UDP drops, fault rules, backoff jitter).
   std::uint64_t seed = 1;
-  /// Simulated fabric only: number of scheduler shards / worker threads
-  /// (docs/ARCHITECTURE.md §13).  Contexts are assigned round-robin
-  /// (shard = ctx % threads); each shard runs its own conservative
-  /// scheduler on its own OS thread with lock-free MPSC hand-off between
-  /// shards.  0 = auto: take NEXUS_THREADS from the environment, then the
-  /// "runtime.threads" database key, then 1.  A value set explicitly in
-  /// code (>= 1) wins over the environment -- the escape hatch for tests
-  /// whose assertions depend on single-shard determinism.  threads=1 is
-  /// bit-identical to the pre-sharding runtime; the realtime fabric
-  /// ignores this knob (it is already thread-per-context).
-  unsigned threads = 0;
   /// Simulated fabric only: deterministic fault-injection plan (drop /
   /// delay / corrupt / blackhole schedules) installed on the SimFabric
   /// before run(); see simnet/fault.hpp.  Realtime fabrics inject faults
@@ -127,9 +116,6 @@ class Runtime {
   void run(std::vector<std::function<void(Context&)>> fns);
 
   std::size_t world_size() const { return opts_.topology.size(); }
-  /// Resolved scheduler-shard count (after env/db/auto resolution and
-  /// clamping to the world size); 1 on the realtime fabric.
-  unsigned threads() const noexcept { return threads_; }
   const RuntimeOptions& options() const noexcept { return opts_; }
   const util::ResourceDb& db() const noexcept { return opts_.db; }
   const simnet::Topology& topology() const noexcept { return opts_.topology; }
@@ -189,7 +175,6 @@ class Runtime {
   std::vector<std::unique_ptr<Context>> contexts_;
   std::vector<DescriptorTable> tables_;
   std::vector<std::function<void(Context&)>> fns_;
-  unsigned threads_ = 1;
   bool ran_ = false;
 };
 

@@ -118,8 +118,7 @@ std::vector<std::string> Tracer::labels_snapshot() const {
 
 std::vector<Event> Tracer::events() const {
   // Gather every stripe's retained (event, seq) pairs, then merge by the
-  // global sequence: exact record order, and under threads=1 bit-identical
-  // to the old single-ring snapshot.
+  // global sequence: exact record order.
   std::vector<std::pair<std::uint64_t, Event>> tagged;
   for (const Stripe& s : stripes_) {
     std::lock_guard<std::mutex> lock(s.mutex);

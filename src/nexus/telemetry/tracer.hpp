@@ -9,10 +9,9 @@
 // runtime-off by default: every instrumented site pays exactly one relaxed
 // atomic load (enabled()) on the hot path.  When enabled, record() claims a
 // slot in a per-context-stripe ring (stripe = context % 16, each stripe its
-// own mutex + ring) so contexts on different scheduler shards or realtime
-// threads never contend on one tracer lock; a global sequence counter
-// stamped per event lets events() merge the stripes back into exact record
-// order (bit-identical to the old single ring under threads=1).  Stripe
+// own mutex + ring) so realtime context threads never contend on one
+// tracer lock; a global sequence counter stamped per event lets events()
+// merge the stripes back into exact record order.  Stripe
 // rings are allocated lazily at full capacity on a stripe's first event --
 // an idle stripe costs nothing.  When a ring wraps, the oldest events of
 // that stripe are overwritten and dropped() counts what was lost (no

@@ -187,7 +187,7 @@ SendResult TcpModule::send(CommObject& conn, Packet packet) {
   if (incast_stall_ > 0) {
     // Incast model: a receiver with a deep queue and many bytes in flight
     // stalls each further transfer quadratically in the excess.
-    const Fabric::Backlog load = fabric_->backlog(ctx_->id(), to);
+    const Fabric::Backlog load = fabric_->backlog(to);
     if (load.packets > incast_threshold_ &&
         load.bytes_in_flight > incast_bytes_) {
       const auto excess = static_cast<Time>(load.packets - incast_threshold_);

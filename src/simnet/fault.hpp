@@ -36,9 +36,9 @@ enum class FaultKind : std::uint8_t { Drop, Delay, Corrupt, Blackhole };
 /// dropped, and every in-memory protocol state is lost.  At `until` the
 /// context restarts with its incarnation epoch bumped by one.  Unlike link
 /// rules, crash rules are pure functions of (context, partition, time): any
-/// shard can evaluate them against the immutable plan without drawing from
-/// an rng, which is what makes a crash on shard A observable from shard B
-/// without shared mutable state.  A permanent death is a window whose
+/// context can evaluate them against the immutable plan without drawing
+/// from the fault rng, so asking whether a peer is down never perturbs the
+/// seeded fault sequence.  A permanent death is a window whose
 /// `until` lies beyond the workload's horizon.
 struct CrashRule {
   /// Target context id; any context when < 0 (then `partition` scopes it).
@@ -127,7 +127,7 @@ class FaultPlan {
   }
 
   /// Is (ctx, partition) inside any crash window at `now`?  Pure: no rng,
-  /// so any shard may ask about any context.
+  /// so any context may ask about any other.
   bool crashed(std::uint32_t ctx, int partition, Time now) const noexcept {
     for (const CrashRule& r : crash_rules_) {
       if (r.matches(ctx, partition) && now >= r.from && now < r.until)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 
 namespace nexus::simnet {
 
@@ -61,10 +60,6 @@ Time Scheduler::horizon_for(const SimProcess& p) const {
 void Scheduler::run() {
   running_ = true;
   while (true) {
-    // Sharded runs: ingest cross-shard traffic before every dispatch so
-    // arrivals become timers/wakes visible to the pick below.
-    if (external_ != nullptr) external_->drain();
-
     // Pick the runnable process with the smallest clock (LRU on ties).
     SimProcess* next = nullptr;
     for (const auto& p : procs_) {
@@ -86,34 +81,18 @@ void Scheduler::run() {
 
     if (next == nullptr) {
       bool any_blocked = false;
-      std::ostringstream blocked_names;
+      std::string blocked;
       for (const auto& p : procs_) {
-        if (p->state() == SimProcess::State::Blocked) {
-          if (any_blocked) blocked_names << ", ";
-          blocked_names << p->name();
-          any_blocked = true;
-        }
-      }
-      if (external_ != nullptr) {
-        // Locally idle is not globally idle: park on the external source.
-        // Woken -> loop back (drain() at the top delivers the traffic);
-        // Terminated -> the whole group is done, so local Blocked procs
-        // really are deadlocked; Aborted -> another shard failed, unwind
-        // quietly (the failing shard rethrows its own exception).
-        const ExternalIdle verdict = external_->idle(!any_blocked);
-        if (verdict == ExternalIdle::Woken) continue;
-        if (verdict == ExternalIdle::Aborted) {
-          running_ = false;
-          shutdown();
-          return;
-        }
+        if (p->state() != SimProcess::State::Blocked) continue;
+        if (any_blocked) blocked += ", ";
+        blocked += p->name();
+        any_blocked = true;
       }
       if (any_blocked) {
         running_ = false;
         shutdown();
         throw DeadlockError(
-            "all live processes blocked with no pending timers on shard " +
-            std::to_string(shard_index_) + ": " + blocked_names.str());
+            "all live processes blocked with no pending timers: " + blocked);
       }
       break;  // all processes finished
     }

@@ -40,33 +40,6 @@ class DeadlockError : public util::Error {
 /// another process raised an exception); unwinds the user stack cleanly.
 struct SimAborted {};
 
-/// Verdict an ExternalSource returns when a scheduler shard goes idle.
-enum class ExternalIdle {
-  Woken,       ///< new external traffic may have landed; re-enter the loop
-  Terminated,  ///< the whole shard group is provably done
-  Aborted,     ///< another shard failed; unwind without raising locally
-};
-
-/// Hook a sharded fabric installs on each shard's scheduler so the run loop
-/// can (a) ingest cross-shard traffic and (b) distinguish "this shard is
-/// idle" from "the whole simulation is done".  All methods are invoked on
-/// the scheduler's own thread only.
-class ExternalSource {
- public:
-  virtual ~ExternalSource() = default;
-
-  /// Deliver pending external traffic into local mailboxes/timers.  Called
-  /// at the top of every scheduler iteration.  Returns true if anything was
-  /// delivered.
-  virtual bool drain() = 0;
-
-  /// Called when the shard has no runnable process and no pending timer.
-  /// `locally_done` is true when every local process Finished (as opposed
-  /// to some still Blocked).  Expected to block until traffic arrives or
-  /// the group terminates.
-  virtual ExternalIdle idle(bool locally_done) = 0;
-};
-
 class Scheduler {
  public:
   Scheduler() = default;
@@ -98,7 +71,6 @@ class Scheduler {
   /// earlier unfired timer.
   Time fired_until() const noexcept { return fired_until_; }
 
-  std::size_t process_count() const noexcept { return procs_.size(); }
   SimProcess& process(std::size_t i) { return *procs_.at(i); }
 
   /// True once run() has finished or shutdown began.
@@ -107,19 +79,6 @@ class Scheduler {
   /// Maximum overrun past an equal-clock peer (must be > 0).
   void set_tie_window(Time w) { tie_window_ = w > 0 ? w : 1; }
   Time tie_window() const noexcept { return tie_window_; }
-
-  /// Which shard this scheduler drives (0 in single-shard runs).  Only used
-  /// to label diagnostics -- a DeadlockError names the blocked contexts
-  /// *and* the shard they were stranded on.
-  void set_shard_index(std::size_t i) noexcept { shard_index_ = i; }
-  std::size_t shard_index() const noexcept { return shard_index_; }
-
-  /// Install a cross-shard traffic source (sharded runs only; see
-  /// ExternalSource).  With a source installed, run() consults it instead
-  /// of raising DeadlockError / returning when the shard goes locally idle.
-  /// Must be called before run(); the source must outlive the scheduler's
-  /// run() call.
-  void set_external_source(ExternalSource* src) { external_ = src; }
 
  private:
   friend class SimProcess;
@@ -149,8 +108,6 @@ class Scheduler {
   std::uint64_t dispatch_seq_ = 0;
   Time tie_window_ = 50 * kUs;
   std::vector<std::uint64_t> last_dispatch_;  ///< per-process, for LRU ties
-  ExternalSource* external_ = nullptr;
-  std::size_t shard_index_ = 0;
   bool shutdown_ = false;
   bool running_ = false;
 };

@@ -4,16 +4,12 @@
 // store to link the previous node -- wait-free, no CAS loop, no contention
 // window beyond the exchange itself.  The single consumer pops by following
 // the stub node's next pointer; it never touches the producers' head except
-// to detect emptiness.  This backs the cross-shard mailbox router of the
-// sharded simulated fabric and every realtime per-method packet queue,
-// replacing the mutex MPMC ConcurrentQueue on paths with exactly one
-// consumer at a time.
+// to detect emptiness.  This backs every realtime per-method packet queue,
+// each of which has exactly one consumer at a time.
 //
 // Consumer exclusivity is a *protocol* obligation, not an enforced one: the
 // realtime fabric hands a queue from the polling engine to a blocking-poller
-// thread only across a disable/enable + thread create/join boundary, and a
-// sim shard's inbound queue is drained only by that shard's scheduler
-// thread.
+// thread only across a disable/enable + thread create/join boundary.
 //
 // Blocking: pop_wait() parks on a mutex/condvar only after publishing a
 // sleeper flag and re-checking emptiness.  The producer's head exchange and

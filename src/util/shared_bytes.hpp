@@ -25,8 +25,9 @@
 //     destructor frees the block.  No thread can observe the buffer after
 //     free, and no write to the control block is lost.
 //
-// Consequently a Packet whose payload crosses a shard boundary through the
-// MPSC router can be released by sender and receiver in any interleaving:
+// Consequently a Packet whose payload crosses threads -- a realtime
+// context's MPSC inbox, or a multicast fan-out shared by several receiver
+// threads -- can be released by sender and receiver in any interleaving:
 // the last owner -- whichever thread that is -- frees the buffer exactly
 // once.  tests/test_shared_bytes.cpp (SharedBytesMt suite) stress-verifies
 // this under ThreadSanitizer: concurrent copy/view/drop storms across

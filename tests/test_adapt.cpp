@@ -302,9 +302,6 @@ TEST(AdaptEngine, ReliableLayerRttFeedsTheCostModel) {
                                  {"local", "rel+udp", "tcp"});
   opts.adaptive = true;
   opts.costs.udp_drop_prob = 0.0;
-  // Ack-RTT samples compare timestamps from both contexts' clocks, which
-  // only agree single-shard (docs/ARCHITECTURE.md §13).
-  opts.threads = 1;
   Runtime rt(opts);
   rt.run([&](Context& ctx) {
     std::uint64_t done = 0;
@@ -329,10 +326,6 @@ TEST(AdaptEngine, ReliableLayerRttFeedsTheCostModel) {
 TEST(AdaptEngine, TimingEchoFeedsSenderModelForRawMethods) {
   RuntimeOptions opts = sim_opts(simnet::Topology::single_partition(2));
   opts.adaptive = true;
-  // A timing-echo latency sample is recv-time minus send-time taken from the
-  // two contexts' clocks; the bound below holds only when both share one
-  // virtual clock (docs/ARCHITECTURE.md section 13.4).
-  opts.threads = 1;
   Runtime rt(opts);
   rt.run(std::vector<std::function<void(Context&)>>{
       [&](Context& ctx) {  // responder: pong each ping so echoes ride back
@@ -380,11 +373,7 @@ RuntimeOptions two_method_opts() {
   RuntimeOptions opts = sim_opts(simnet::Topology::single_partition(2));
   opts.adaptive = true;
   // The crossover/hysteresis/switch-count assertions below depend on the
-  // cost model learning the *configured* constants from timing echoes, and
-  // an echo's one-way latency subtracts timestamps drawn from both
-  // contexts' clocks -- only meaningful on the shared single-shard clock
-  // (docs/ARCHITECTURE.md section 13.4).
-  opts.threads = 1;
+  // cost model learning the *configured* constants from timing echoes.
   opts.costs.tcp_latency = 150 * kUs;
   opts.costs.tcp_poll_cost = 20 * kUs;
   opts.costs.tcp_mb_s = 8.0;

@@ -44,9 +44,6 @@ RuntimeOptions dlq_opts(const char* policy, const char* window,
                         const char* cap) {
   RuntimeOptions opts =
       opts_with({"local", "rel+udp"}, simnet::Topology::single_partition(2));
-  // Latch timing and the block-mode wait ride the shared virtual clock;
-  // pin threads=1 so the NEXUS_THREADS=4 TSan leg runs the suite unsharded.
-  opts.threads = 1;
   // Detected loss (Transient verdicts) for the first 5 ms, then clean:
   // every data frame and ack is lost, but the wrapper keeps ownership of
   // accepted packets and repairs them by retransmission after the window.

@@ -87,10 +87,6 @@ void run_crash_trial(std::uint64_t seed) {
       opts_with(std::move(modules), simnet::Topology::single_partition(kWorld));
   opts.faults = random_crash_plan(rng, kWorld);
   opts.seed = seed;
-  // Crash windows and the drain deadlines below are virtual-time idioms
-  // that assume the shared single-shard clock (docs §13.4); pin threads=1
-  // so the NEXUS_THREADS=4 TSan leg runs the suite unsharded.
-  opts.threads = 1;
   opts.costs.udp_drop_prob = 0.3 * rng.next_double();  // silent loss
   opts.db.set("rel.max_retries", "40");
   opts.db.set("rel.rto_initial_us", "5000");
@@ -202,7 +198,6 @@ TEST(CrashRestartProperty, RandomCrashPlansDeliverExactlyOnce) {
 TEST(CrashRestart, GhostAcksFromPreviousIncarnationRejected) {
   RuntimeOptions opts =
       opts_with({"local", "rel+udp"}, simnet::Topology::single_partition(2));
-  opts.threads = 1;  // crash windows are single-shard clock idioms (§13.4)
   opts.faults.crash(1, 5 * kMs, 12 * kMs);
   // No count-triggered acks; one delayed ack 15 ms after the first commit,
   // i.e. after the sender has already restarted.
@@ -276,7 +271,6 @@ TEST(CrashRestart, GhostAcksFromPreviousIncarnationRejected) {
 TEST(CrashRestart, StaleDataFromDeadIncarnationRejected) {
   RuntimeOptions opts =
       opts_with({"local", "rel+udp"}, simnet::Topology::single_partition(2));
-  opts.threads = 1;  // crash windows are single-shard clock idioms (§13.4)
   // Frames sent in the first 2 ms take an extra 25 ms; the sender dies at
   // 3 ms and is back at 8 ms, so the delayed frame outlives its incarnation.
   opts.faults.delay("udp", 25 * kMs, 0, 2 * kMs);
@@ -333,7 +327,6 @@ TEST(CrashRestart, StaleDataFromDeadIncarnationRejected) {
 TEST(CrashRestart, ReceiverReincarnationMidWindowStaysExactlyOnce) {
   RuntimeOptions opts =
       opts_with({"local", "rel+udp"}, simnet::Topology::single_partition(2));
-  opts.threads = 1;  // crash windows are single-shard clock idioms (§13.4)
   opts.faults.crash(1, 4 * kMs, 9 * kMs);
   opts.faults.drop("udp", 0.4, 0, 6 * kMs);  // lose acks + data pre-crash
   opts.db.set("rel.max_retries", "40");

@@ -259,9 +259,6 @@ TEST(Failover, AllMethodsQuarantinedProbesAndRecovers) {
   RuntimeOptions opts = opts_with({"local", "tcp"},
                                   simnet::Topology::two_partitions(1, 1));
   opts.faults.drop("tcp", 1.0, /*from=*/0, /*until=*/100 * kMs);
-  // Time-windowed fault plans + backoff windows assume one virtual clock
-  // across contexts: single-shard only (docs/ARCHITECTURE.md §13).
-  opts.threads = 1;
   Runtime rt(opts);
   std::uint64_t done = 0;
   rt.run([&](Context& ctx) {
@@ -287,13 +284,11 @@ TEST(Failover, AllMethodsQuarantinedProbesAndRecovers) {
 // forwarding for partition 1.  Context 0's RSRs to context 3 cross on tcp,
 // land at context 2, and are re-sent over its best local method.
 
-/// The relay world over `modules`, on one scheduler shard: the fault windows
-/// and the backoff assume one virtual clock (docs/ARCHITECTURE.md §13.4).
+/// The relay world over `modules`.
 RuntimeOptions relay_opts(std::vector<std::string> modules) {
   RuntimeOptions opts = nexus::testing::chaos_opts(
       std::move(modules), simnet::Topology::two_partitions(2, 2));
   opts.forwarders[1] = 2;
-  opts.threads = 1;
   return opts;
 }
 

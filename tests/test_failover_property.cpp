@@ -96,10 +96,6 @@ void run_trial(std::uint64_t seed) {
                                   simnet::Topology::two_partitions(1, 1));
   opts.faults = plan.faults;
   opts.seed = seed;
-  // Time-windowed fault plans and the deadline drain loops below assume
-  // the shared single-shard virtual clock (docs §13.4), so pin threads=1
-  // even when the sharded CI leg exports NEXUS_THREADS.
-  opts.threads = 1;
   Runtime rt(opts);
 
   std::map<std::uint64_t, int> per_seq;
@@ -204,8 +200,6 @@ TEST(FailoverProperty, AdaptiveSelectorFailsOverAndWinsTheRouteBack) {
   opts.adaptive = true;
   opts.seed = nexus::testing::test_seed();
   opts.faults.blackhole("mpl", kOutageFrom, kOutageUntil);
-  // Window-timed outage + deadline loops: single-shard clock only (§13.4).
-  opts.threads = 1;
   Runtime rt(opts);
 
   std::uint64_t delivered = 0;

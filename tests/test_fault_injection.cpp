@@ -99,9 +99,6 @@ TEST(FaultInjection, CorruptPacketIsQuarantinedNotDispatched) {
   RuntimeOptions opts = opts_with({"local", "tcp"},
                                   simnet::Topology::two_partitions(1, 1));
   opts.faults.corrupt("tcp", 1.0);
-  // The receiver's bounded drain window assumes the sender shares its
-  // virtual clock: single-shard only (docs/ARCHITECTURE.md §13).
-  opts.threads = 1;
   Runtime rt(opts);
   std::uint64_t done = 0;
   std::uint64_t quarantined = 0;

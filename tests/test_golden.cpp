@@ -10,7 +10,6 @@
 // them on purpose updates them here and says why in CHANGES.md.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <iomanip>
 
 #include "bench_util.hpp"
@@ -19,14 +18,6 @@
 namespace {
 
 using climate::Policy;
-
-class GoldenVirtualTime : public ::testing::Test {
- protected:
-  // Virtual time has one meaning only on a single scheduler shard
-  // (docs/ARCHITECTURE.md §13.4).  The bench harnesses build their
-  // RuntimeOptions with threads = 0 (auto), so pin the auto choice.
-  void SetUp() override { ::setenv("NEXUS_THREADS", "1", 1); }
-};
 
 void expect_exact(double got, double want, const char* what) {
   EXPECT_EQ(got, want) << what << ": got " << std::setprecision(17) << got;
@@ -46,54 +37,53 @@ void expect_table1_row(Policy policy, std::uint64_t skip, int timesteps,
   expect_exact(drift, heat_drift, "atmosphere heat drift");
 }
 
-TEST_F(GoldenVirtualTime, Table1Row1SelectiveTcp) {
+TEST(GoldenVirtualTime, Table1Row1SelectiveTcp) {
   expect_table1_row(Policy::SelectiveTcp, 1, 4, 103.64680043125,
                     1.2110965559786494e-07);
 }
 
-TEST_F(GoldenVirtualTime, Table1Row2Forwarder) {
+TEST(GoldenVirtualTime, Table1Row2Forwarder) {
   expect_table1_row(Policy::Forwarding, 1, 4, 107.84436864825,
                     1.2110965559786494e-07);
 }
 
-TEST_F(GoldenVirtualTime, Table1Row3SkipPoll1) {
+TEST(GoldenVirtualTime, Table1Row3SkipPoll1) {
   expect_table1_row(Policy::SkipPoll, 1, 4, 107.85431830825,
                     1.2110965559786494e-07);
 }
 
-TEST_F(GoldenVirtualTime, Table1Row4SkipPoll100) {
+TEST(GoldenVirtualTime, Table1Row4SkipPoll100) {
   expect_table1_row(Policy::SkipPoll, 100, 4, 103.689695384,
                     1.2110965559786494e-07);
 }
 
-TEST_F(GoldenVirtualTime, Table1Row5SkipPoll10000) {
+TEST(GoldenVirtualTime, Table1Row5SkipPoll10000) {
   expect_table1_row(Policy::SkipPoll, 10000, 4, 103.647055936,
                     1.2110965559786494e-07);
 }
 
-TEST_F(GoldenVirtualTime, Table1Row6SkipPoll12000) {
+TEST(GoldenVirtualTime, Table1Row6SkipPoll12000) {
   expect_table1_row(Policy::SkipPoll, 12000, 4, 103.64823137025,
                     1.2110965559786494e-07);
 }
 
-TEST_F(GoldenVirtualTime, Table1Row7SkipPoll13000) {
+TEST(GoldenVirtualTime, Table1Row7SkipPoll13000) {
   expect_table1_row(Policy::SkipPoll, 13000, 4, 103.64820160975,
                     1.2110965559786494e-07);
 }
 
-TEST_F(GoldenVirtualTime, Table1Row8AllTcp) {
+TEST(GoldenVirtualTime, Table1Row8AllTcp) {
   expect_table1_row(Policy::AllTcp, 1, 2, 953.09184849999997,
                     -2.5911580786569385e-16);
 }
 
 /// bench/fig4_pingpong's zero-byte row of the small-message series (400
 /// rounds): Nexus with MPL alone, and with MPL + TCP polling.
-TEST_F(GoldenVirtualTime, Fig4ZeroByteRow) {
+TEST(GoldenVirtualTime, Fig4ZeroByteRow) {
   auto opts = [](std::vector<std::string> modules) {
     nexus::RuntimeOptions o;
     o.topology = nexus::simnet::Topology::single_partition(2);
     o.modules = std::move(modules);
-    o.threads = 1;
     return o;
   };
   expect_exact(bench::nexus_pingpong_us(opts({"local", "mpl"}), 0, 400,
@@ -106,7 +96,7 @@ TEST_F(GoldenVirtualTime, Fig4ZeroByteRow) {
 
 /// bench/fig6_skip_poll's skip_poll = 20 row of the zero-length sweep (300
 /// MPL rounds), the paper's sweet spot.
-TEST_F(GoldenVirtualTime, Fig6SkipPoll20Row) {
+TEST(GoldenVirtualTime, Fig6SkipPoll20Row) {
   const bench::DualResult r = bench::dual_pingpong(20, 0, 300);
   expect_exact(r.mpl_one_way_us, 179.31416999999999, "MPL one-way us");
   expect_exact(r.tcp_one_way_us, 2335.0408541666666, "TCP one-way us");

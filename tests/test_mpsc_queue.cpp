@@ -1,6 +1,6 @@
-// MpscQueue: the lock-free multi-producer single-consumer queue behind the
-// cross-shard mailbox router and every realtime per-method packet queue.
-// The invariants pinned here are the ones the sharded runtime leans on:
+// MpscQueue: the lock-free multi-producer single-consumer queue behind
+// every realtime per-method packet queue.  The invariants pinned here are
+// the ones the realtime fabric leans on:
 // per-producer FIFO order, no loss and no duplication under contention,
 // close() semantics (wake the consumer, deliver stragglers, then drain to
 // nullopt), and the sleeper-flag handshake that makes pop_wait lossless.

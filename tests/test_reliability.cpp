@@ -113,9 +113,6 @@ TEST(Reliability, MulticastStillWorksAsOnlyEntry) {
   // path must keep group sends working without explicit forcing.
   RuntimeOptions opts = opts_with({"local", "mcast", "tcp"},
                                   simnet::Topology::single_partition(2));
-  // The compute() head start orders the join before the send only when
-  // both contexts share one virtual clock: single-shard only.
-  opts.threads = 1;
   Runtime rt(opts);
   int hits = 0;
   rt.run([&](Context& ctx) {

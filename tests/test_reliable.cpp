@@ -108,9 +108,6 @@ TEST(Reliable, ExactlyOnceInOrderUnderSilentLoss) {
       opts_with({"local", "rel+udp"}, simnet::Topology::single_partition(2));
   opts.costs.udp_drop_prob = 0.35;
   opts.seed = nexus::testing::test_seed();
-  // The deadline-drain idiom couples both contexts' virtual clocks, which
-  // is only defined single-shard (docs/ARCHITECTURE.md §13).
-  opts.threads = 1;
   opts.db.set("rel.rto_initial_us", "3000");
   opts.db.set("rel.rto_min_us", "1000");
   opts.db.set("rel.ack_delay_us", "500");
@@ -187,8 +184,6 @@ TEST(Reliable, BlockBackpressureCapsWindowOccupancy) {
   RuntimeOptions opts =
       opts_with({"local", "rel+udp"}, simnet::Topology::single_partition(2));
   opts.costs.udp_drop_prob = 0.0;
-  // Block-mode waits ride the shared virtual clock: single-shard only.
-  opts.threads = 1;
   opts.db.set("rel.window", "4");
   opts.db.set("rel.ack_every", "4");
   opts.db.set("rel.ack_delay_us", "500");
@@ -225,8 +220,6 @@ TEST(Reliable, ShedBackpressureSurfacesTransientAndRecovers) {
   RuntimeOptions opts =
       opts_with({"local", "rel+udp"}, simnet::Topology::single_partition(2));
   opts.costs.udp_drop_prob = 0.0;
-  // Retry/ack interleaving rides the shared virtual clock: single-shard.
-  opts.threads = 1;
   opts.db.set("rel.window", "2");
   opts.db.set("rel.backpressure", "shed");
   opts.db.set("rel.ack_every", "2");
@@ -328,8 +321,6 @@ TEST(Reliable, RetryExhaustionEscalatesThenDeliversAfterHeal) {
   RuntimeOptions opts = opts_with({"local", "rel+udp", "tcp"},
                                   simnet::Topology::two_partitions(1, 1));
   opts.costs.udp_drop_prob = 0.0;
-  // Time-windowed fault plans assume one clock across contexts.
-  opts.threads = 1;
   opts.faults.drop("udp", 1.0, 0, 150 * kMs);
   opts.db.set("rel.max_retries", "2");
   opts.db.set("rel.rto_initial_us", "2000");

@@ -45,9 +45,6 @@ util::SharedBytes bytes_of(std::size_t n, std::uint8_t fill) {
 RuntimeOptions rpc_opts() {
   RuntimeOptions opts =
       opts_with({"local", "tcp"}, simnet::Topology::single_partition(2));
-  // Deadline/cancel interleavings ride the shared virtual clock (§13.4);
-  // pin threads=1 so the NEXUS_THREADS=4 TSan leg runs the suite unsharded.
-  opts.threads = 1;
   return opts;
 }
 
@@ -449,7 +446,6 @@ TEST(Rpc, BulkErrorsAreTypedNotFaults) {
 TEST(Rpc, PeerDiedFailsFastOnDeadVerdict) {
   RuntimeOptions opts =
       opts_with({"local", "udp"}, simnet::Topology::single_partition(2));
-  opts.threads = 1;
   opts.faults.blackhole("udp", 0, 5 * kMs);  // every send fails hard
   Runtime rt(opts);
   CallResult res;

@@ -96,7 +96,6 @@ void run_rpc_trial(std::uint64_t seed) {
       opts_with(std::move(modules), simnet::Topology::single_partition(kWorld));
   opts.faults = random_plan(rng, kWorld);
   opts.seed = seed;
-  opts.threads = 1;  // deadline/crash interleavings ride the shared clock
   opts.costs.udp_drop_prob = 0.25 * rng.next_double();
   // A dead-letter budget on some trials parks failed requests instead of
   // failing them fast; redelivered requests after a rebirth produce replies

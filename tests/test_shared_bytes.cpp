@@ -104,7 +104,7 @@ TEST(SharedBytes, PackBufferReleaseMovesStorage) {
 // --- multi-threaded refcount stress (docs in shared_bytes.hpp header) ---
 //
 // The refcount contract -- relaxed increments, acq_rel decrements, last
-// owner frees exactly once -- is what lets payloads cross shard boundaries.
+// owner frees exactly once -- is what lets payloads cross realtime threads.
 // These tests hammer it from several threads; run under TSan/ASan in CI
 // they would flag any misordered release or double free.
 
